@@ -7,7 +7,8 @@ Modules are layered bottom-up:
 - :mod:`repro.core.workload` — AQP derivation (executed on Spark) → CCs.
 - :mod:`repro.core.preprocess` — DataSynth's view/sub-view decomposition.
 - :mod:`repro.core.regions` / :mod:`repro.core.grid` — HYDRA's
-  region-partitioning (Algorithms 1 & 2) vs DataSynth's grid-partitioning.
+  region-partitioning (Algorithms 1 & 2, one vectorized partitioner) vs
+  DataSynth's grid-partitioning.
 - :mod:`repro.core.lp` / :mod:`repro.core.solver` — LP formulation and the
   simplex feasibility substrate standing in for Z3.
 - :mod:`repro.core.align` / :mod:`repro.core.summary` — deterministic
@@ -15,6 +16,7 @@ Modules are layered bottom-up:
 - :mod:`repro.core.tuplegen` / :mod:`repro.core.materialize` — dynamic
   regeneration on Spark and static materialization.
 - :mod:`repro.core.hydra` / :mod:`repro.core.datasynth` — end-to-end drivers.
-- :mod:`repro.core.metrics` / :mod:`repro.core.experiments` — volumetric
-  similarity measurement and per-table experiment harnesses.
+- :mod:`repro.core.metrics` — volumetric similarity measurement.
+- :mod:`repro.core.anonymize` — the client-site Anonymizer (§3.1); nothing
+  calls it yet.
 """

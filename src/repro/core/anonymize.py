@@ -7,9 +7,8 @@ only. The mapping is invertible (kept at the client) but irrelevant for CC
 satisfaction.
 
 This reproduction generates numeric data directly for its benchmarks, but
-the anonymizer is implemented as a real substrate (and exercised on the
-provided TPC-H-lite tables) so the pipeline's entry contract matches the
-paper: arbitrary client frames in, numeric frames + reversible codebook
+the anonymizer is implemented as a real substrate so the pipeline's entry
+contract matches the paper: arbitrary client frames in, numeric frames + reversible codebook
 out.
 """
 from __future__ import annotations

@@ -60,7 +60,7 @@ def _sample_view_instance(
     sols = [
         SubViewSolution(
             attrs=s.attrs,
-            rows=[(r.first_box(), c) for r, c in form.subview_solution(s)],
+            rows=[(r.box, c) for r, c in form.subview_solution(s)],
         )
         for s in form.subviews
     ]

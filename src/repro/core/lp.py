@@ -2,15 +2,20 @@
 
 For each sub-view the domain is partitioned — by HYDRA's region-partitioning
 (Algorithm 1) or DataSynth's grid-partitioning — into labelled regions, one
-LP variable per region. The LP then contains (Figure 7):
+LP variable per region. A region is one label class (within one
+shared-attribute cell), carried by its lexicographically first box. The LP
+then contains (Figure 7):
 
 - non-negativity (implicit in the solver),
 - per sub-view, ``sum of its variables = |R|`` (the total-size CC),
 - per CC and per sub-view that covers the CC's attributes, an equality over
   the variables whose region label includes the CC,
-- *consistency constraints* (§4.2 end): for every pair of sub-views sharing
-  attributes, the partitions are refined to a common shared-attribute grid
-  and the marginals are equated cell by cell.
+- *consistency constraints* (§4.2 end): both partitioners cut each shared
+  attribute at the CC boundaries of every sub-view carrying it, so a
+  region's interval on a shared attribute is exactly one cell of that
+  grid; for every pair of sub-views sharing attributes, the marginals are
+  equated cell by cell, keyed by each region's own shared-attribute
+  interval.
 
 CCs arriving from executed AQPs always admit the client data itself as a
 witness, so these LPs are feasible by construction; the solver returns one
@@ -26,12 +31,7 @@ import numpy as np
 from .constraints import CC, Interval
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
-from .regions import (
-    Region,
-    partition_lp_regions,
-    refine_regions_for_consistency,
-    shared_cell,
-)
+from .regions import Region, partition_lp_regions
 from .solver import LinearSystem, round_solution, solve_feasible
 
 
@@ -82,6 +82,16 @@ def _covering_subviews(plan: ViewPlan, cc: CC) -> list[int]:
     ]
 
 
+def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, list[int]]:
+    """Variables of ``s`` by their region's interval on each attribute of
+    ``common`` — one shared-attribute boundary cell per region."""
+    cells: dict[tuple, list[int]] = {}
+    for i, r in enumerate(s.regions):
+        key = tuple((r.box[a].lo, r.box[a].hi) for a in common)
+        cells.setdefault(key, []).append(s.offset + i)
+    return cells
+
+
 def formulate_view(
     plan: ViewPlan, *, mode: str = "region", grid_cell_cap: int | None = None
 ) -> ViewFormulation:
@@ -128,9 +138,8 @@ def formulate_view(
                                     points[a].add(p)
         boundaries = {a: sorted(points[a]) for a in shared_attrs}
 
-    # 2. Partition each sub-view against the CCs it can express, already
-    #    refined to the shared-attribute cells (vectorized fast path for
-    #    region mode).
+    # 2. Partition each sub-view against the CCs it can express, cut at
+    #    the shared-attribute boundaries.
     sub_forms: list[SubViewFormulation] = []
     grid_total = 0
     for sv, sv_ccs in zip(plan.subviews, sv_cc_idx):
@@ -142,14 +151,11 @@ def formulate_view(
             regions = partition_lp_regions(sv, domain, cc_objs, sh, boundaries)
         else:
             kwargs = {} if grid_cell_cap is None else {"cell_cap": grid_cell_cap}
-            regions = grid_partition(sv, domain, cc_objs, **kwargs)
-            regions = refine_regions_for_consistency(
-                regions, sv, sh, {a: boundaries.get(a, []) for a in sh}
-            )
+            regions = grid_partition(sv, domain, cc_objs, sh, boundaries, **kwargs)
         # Partitioning labels regions with indices into cc_objs; remap them
         # to indices into the view's full CC list.
         regions = [
-            Region(r.boxes, frozenset(sv_ccs[i] for i in r.label)) for r in regions
+            Region(r.box, frozenset(sv_ccs[i] for i in r.label)) for r in regions
         ]
         sub_forms.append(SubViewFormulation(attrs=sv, regions=regions, ccs=sv_ccs))
 
@@ -176,16 +182,8 @@ def formulate_view(
         common = tuple(a for a in s1.attrs if a in s2.attrs)
         if not common:
             continue
-        cells1: dict[tuple, list[int]] = {}
-        for i, r in enumerate(s1.regions):
-            cells1.setdefault(
-                shared_cell(r, common, boundaries), []
-            ).append(s1.offset + i)
-        cells2: dict[tuple, list[int]] = {}
-        for i, r in enumerate(s2.regions):
-            cells2.setdefault(
-                shared_cell(r, common, boundaries), []
-            ).append(s2.offset + i)
+        cells1 = _cells(s1, common)
+        cells2 = _cells(s2, common)
         for cell in set(cells1) | set(cells2):
             terms = [(i, 1.0) for i in cells1.get(cell, [])]
             terms += [(i, -1.0) for i in cells2.get(cell, [])]

@@ -1,24 +1,31 @@
 """HYDRA's region-partitioning (paper §4.2, Algorithms 1 and 2).
 
 A *box* is an axis-aligned product of integer intervals, represented as a
-``dict`` attribute → :class:`~repro.core.constraints.Interval`. Algorithm 2
-("Valid-Partition") refines the domain box one dimension at a time, splitting
-a block only when some sub-constraint's projection actually splits it.
-Algorithm 1 ("Optimal Partition") then labels each block with the set of CCs
-it satisfies and merges equal-label blocks into *regions* — the equivalence
-classes of :math:`R_\\mathcal{C}` (Lemma 4.3), i.e. the minimum number of LP
-variables that can encode the CCs exactly.
+``dict`` attribute → :class:`~repro.core.constraints.Interval`.
+:func:`label_partition` runs both algorithms on arrays of boxes. Algorithm 2
+("Valid-Partition") refines the domain box one dimension at a time, cutting
+a box at a sub-constraint's boundaries only while the box still satisfies
+that sub-constraint on every earlier dimension. Algorithm 1 ("Optimal
+Partition") labels each box with the set of CCs it satisfies; the boxes of
+one label are a *region*, an equivalence class of :math:`R_\\mathcal{C}`
+(Lemma 4.3), so the label classes are the minimum number of LP variables
+that encode the CCs exactly.
 
-A region is therefore a labelled union of boxes. The LP assigns one variable
-per region; the summary generator later places the region's NumTuples on its
-lexicographically first box (§5.2's deterministic choice).
+A region is one label class carried by its lexicographically first box: the
+LP assigns it one variable, and the summary generator places its NumTuples
+on that box (§5.2's deterministic choice). :func:`partition_lp_regions`
+first cuts the label classes at the shared attributes' CC boundaries, so a
+region's interval on a shared attribute is exactly one boundary cell; the
+LP's consistency constraints key on that interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .constraints import CC, Conjunct, Interval, sub_constraints
+import numpy as np
+
+from .constraints import CC, Interval, sub_constraints
 
 Box = dict[str, Interval]
 
@@ -28,205 +35,93 @@ def box_key(box: Box, attrs: Sequence[str]) -> tuple[int, ...]:
     return tuple(box[a].lo for a in attrs)
 
 
-def split_interval(iv: Interval, cut: Interval) -> list[Interval]:
-    """Split ``iv`` at the boundaries of ``cut`` (up to three pieces).
-
-    This realizes Definition 4.6's refinement ``b+ / b-`` while keeping
-    every block an axis-aligned box (``b-`` may be two pieces).
-    """
-    points = sorted({p for p in (cut.lo, cut.hi) if iv.lo < p < iv.hi})
-    out, lo = [], iv.lo
-    for p in points:
-        out.append(Interval(lo, p))
-        lo = p
-    out.append(Interval(lo, iv.hi))
-    return out
-
-
-def valid_partition(
-    attrs: Sequence[str], domain: Mapping[str, Interval], subs: Iterable[Conjunct]
-) -> list[Box]:
-    """Algorithm 2: a partition where every block is uniformly in/out of
-    every sub-constraint.
-
-    Iterates dimensions in ``attrs`` order. A block is cut at a
-    sub-constraint's projection boundaries only when the block still lies
-    *inside* that sub-constraint's restrictions on all previously processed
-    dimensions: a block already outside on an earlier dimension evaluates
-    the whole conjunction to false at every point, so refining it further
-    cannot change any equivalence class. This pruning is what keeps
-    region-partitioning's intermediate block count near the final region
-    count instead of degenerating toward the ℓⁿ grid.
-    """
-    blocks: list[Box] = [dict(domain)]
-    subs = list(subs)
-    for di, a in enumerate(attrs):
-        earlier = attrs[:di]
-        for c in subs:
-            proj = c.restriction(a)
-            if proj is None:
-                continue
-            # Restrictions of c on already-processed dims; every block is
-            # fully inside or fully outside each (by induction).
-            prior = [
-                (e, r)
-                for e in earlier
-                if (r := c.restriction(e)) is not None
-            ]
-            refined: list[Box] = []
-            for b in blocks:
-                alive = all(r.contains_interval(b[e]) for e, r in prior)
-                pieces = split_interval(b[a], proj) if alive else [b[a]]
-                if len(pieces) == 1:
-                    refined.append(b)
-                else:
-                    for piece in pieces:
-                        nb = dict(b)
-                        nb[a] = piece
-                        refined.append(nb)
-            blocks = refined
-    return blocks
-
-
 @dataclass(frozen=True)
 class Region:
-    """A block of the optimal partition: equal-label boxes merged (Alg 1).
+    """One LP variable: a label class, carried by its first box.
 
     ``label`` is the frozenset of CC indices (into the formulation's CC
     list) that every point of the region satisfies.
     """
 
-    boxes: tuple[tuple[tuple[str, Interval], ...], ...]
+    box: Box
     label: frozenset[int]
 
-    def box_dicts(self) -> list[Box]:
-        return [dict(b) for b in self.boxes]
 
-    def first_box(self) -> Box:
-        """Deterministic representative box (carries the region's count)."""
-        return dict(self.boxes[0])
+def _cut(los, his, extra, dim, p, where=True):
+    """Cut the boxes selected by ``where`` that straddle ``p`` along ``dim``.
 
-
-def _freeze(box: Box, attrs: Sequence[str]) -> tuple[tuple[str, Interval], ...]:
-    return tuple((a, box[a]) for a in attrs)
-
-
-def optimal_partition(
-    attrs: Sequence[str], domain: Mapping[str, Interval], ccs: Sequence[CC]
-) -> list[Region]:
-    """Algorithms 1+2 fused: the optimal partition w.r.t. ``ccs``.
-
-    Instead of materializing every block and labelling it afterwards, the
-    partition is evolved as groups of boxes keyed by their *alive
-    signature* — the set of sub-constraints the group still fully
-    satisfies on all processed dimensions. A sub-constraint only ever
-    splits groups still alive for it (dead groups are uniformly false
-    regardless of later dimensions), and groups with equal signatures are
-    re-merged after every step, so the working-set size tracks the final
-    region count rather than the refined block count. Final labels follow
-    from signatures: a DNF CC is satisfied iff any of its sub-constraints
-    stays alive (Lemma 4.4's label construction).
+    Left pieces stay in place; right pieces are appended, and so are copies
+    of their rows of every per-box array in ``extra``.
     """
-    subs = sub_constraints(ccs)
-    # Map each sub-constraint index to the CCs whose DNF contains it.
-    cc_of_sub: list[list[int]] = [[] for _ in subs]
-    si = 0
-    for j, cc in enumerate(ccs):
-        for c in cc.predicate.conjuncts:
-            if c.restrictions:
-                cc_of_sub[si].append(j)
-                si += 1
-    # TRUE CCs are satisfied everywhere.
-    true_ccs = frozenset(j for j, cc in enumerate(ccs) if cc.predicate.is_true)
-
-    state: dict[frozenset[int], list[Box]] = {
-        frozenset(range(len(subs))): [dict(domain)]
-    }
-    for a in attrs:
-        for ci, c in enumerate(subs):
-            proj = c.restriction(a)
-            if proj is None:
-                continue
-            new_state: dict[frozenset[int], list[Box]] = {}
-            for sig, boxes in state.items():
-                if ci not in sig:
-                    new_state.setdefault(sig, []).extend(boxes)
-                    continue
-                ins: list[Box] = []
-                outs: list[Box] = []
-                for b in boxes:
-                    for piece in split_interval(b[a], proj):
-                        nb = dict(b)
-                        nb[a] = piece
-                        (ins if proj.contains_interval(piece) else outs).append(nb)
-                if ins:
-                    new_state.setdefault(sig, []).extend(ins)
-                if outs:
-                    new_state.setdefault(sig - {ci}, []).extend(outs)
-            state = new_state
-
-    by_label: dict[frozenset[int], list[Box]] = {}
-    for sig, boxes in state.items():
-        label = true_ccs | frozenset(
-            j for ci in sig for j in cc_of_sub[ci]
-        )
-        by_label.setdefault(label, []).extend(boxes)
-    regions = []
-    for label, boxes in by_label.items():
-        boxes.sort(key=lambda b: box_key(b, attrs))
-        regions.append(Region(tuple(_freeze(b, attrs) for b in boxes), label))
-    regions.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return regions
+    strad = where & (los[:, dim] < p) & (his[:, dim] > p)
+    if not strad.any():
+        return los, his, extra
+    right_los = los[strad].copy()
+    right_los[:, dim] = p
+    right_his = his[strad].copy()
+    his[strad, dim] = p
+    return (
+        np.vstack([los, right_los]),
+        np.vstack([his, right_his]),
+        [np.concatenate([e, e[strad]]) for e in extra],
+    )
 
 
-def refine_boxes(boxes: list[Box], attr: str, points: Iterable[int]) -> list[Box]:
-    """Cut every box at the given split points along one attribute.
+def _merge_adjacent(los, his, sig_ids, dim):
+    """Coalesce boxes identical except for contiguity along ``dim``.
 
-    Used for cross-sub-view consistency (§4.2): partitions of sub-views
-    sharing an attribute are refined at the union of their split points so
-    marginal distributions can be equated cell by cell.
+    Constraints that die on a late dimension leave adjacent fragments
+    with re-converged signatures; re-merging them after every
+    dimension pass is what keeps the intermediate working set near
+    the final region count instead of exploding combinatorially.
     """
-    pts = sorted(set(points))
-    out: list[Box] = []
-    for b in boxes:
-        iv = b[attr]
-        cuts = [p for p in pts if iv.lo < p < iv.hi]
-        lo = iv.lo
-        for p in cuts + [iv.hi]:
-            nb = dict(b)
-            nb[attr] = Interval(lo, p)
-            out.append(nb)
-            lo = p
-    return out
+    if len(los) < 2:
+        return los, his, sig_ids
+    other = [d for d in range(los.shape[1]) if d != dim]
+    keys = (
+        [los[:, dim]]
+        + [his[:, d] for d in reversed(other)]
+        + [los[:, d] for d in reversed(other)]
+        + [sig_ids]
+    )
+    order = np.lexsort(keys)
+    lo_s, hi_s, sg_s = los[order], his[order], sig_ids[order]
+    same = (sg_s[1:] == sg_s[:-1])
+    for d in other:
+        same &= (lo_s[1:, d] == lo_s[:-1, d]) & (hi_s[1:, d] == hi_s[:-1, d])
+    contiguous = same & (lo_s[1:, dim] == hi_s[:-1, dim])
+    if not contiguous.any():
+        return los, his, sig_ids
+    new_group = np.concatenate([[True], ~contiguous])
+    starts = np.flatnonzero(new_group)
+    out_lo = lo_s[starts]
+    out_hi = hi_s[starts].copy()
+    # Chain end index per group: position before the next start.
+    ends = np.concatenate([starts[1:], [len(lo_s)]]) - 1
+    out_hi[:, dim] = hi_s[ends, dim]
+    return out_lo, out_hi, sg_s[starts]
 
 
-def split_points(boxes: Iterable[Box], attr: str) -> set[int]:
-    """All interval boundaries a partition uses along ``attr``."""
-    pts: set[int] = set()
-    for b in boxes:
-        pts.add(b[attr].lo)
-        pts.add(b[attr].hi)
-    return pts
-
-
-import bisect
-
-import numpy as np
-
-
-def _partition_arrays(
+def label_partition(
     attrs: Sequence[str],
     domain: Mapping[str, Interval],
     ccs: Sequence[CC],
 ):
-    """Vectorized core of Algorithms 1+2: boxes as numpy arrays.
+    """Algorithms 1+2: the optimal partition w.r.t. ``ccs``, as box arrays.
 
-    Returns ``(los, his, sig_ids, sig_table, labels)`` where row *i* of
-    ``los``/``his`` is a box, ``sig_ids[i]`` indexes ``sig_table`` (the
-    set of sub-constraints the box still fully satisfies), and ``labels``
-    maps each signature to its frozenset of satisfied CC indices. Same
-    semantics as the scalar path in :func:`optimal_partition`, engineered
-    for fused sub-views with hundreds of thousands of blocks.
+    Returns ``(los, his, labels)``: row *i* of the int64 arrays ``los`` and
+    ``his`` is a box (columns in ``attrs`` order), and ``labels[i]`` is the
+    frozenset of CC indices it satisfies. The boxes tile the domain; the
+    boxes of one label make up one region.
+
+    Each box carries its *alive signature*, the set of sub-constraints it
+    still fully satisfies on all processed dimensions. A sub-constraint
+    only cuts boxes still alive for it (dead ones are uniformly false
+    whatever the later dimensions), and contiguous boxes with equal
+    signatures are re-merged after every dimension, so the working set
+    tracks the final region count rather than the refined block count.
+    Labels follow from signatures: a DNF CC is satisfied iff any of its
+    sub-constraints stays alive (Lemma 4.4's label construction).
     """
     subs = sub_constraints(ccs)
     cc_of_sub: list[list[int]] = [[] for _ in subs]
@@ -238,47 +133,11 @@ def _partition_arrays(
                 si += 1
     true_ccs = frozenset(j for j, cc in enumerate(ccs) if cc.predicate.is_true)
 
-    n = len(attrs)
     los = np.array([[domain[a].lo for a in attrs]], dtype=np.int64)
     his = np.array([[domain[a].hi for a in attrs]], dtype=np.int64)
     sig_table: list[frozenset[int]] = [frozenset(range(len(subs)))]
     sig_index: dict[frozenset[int], int] = {sig_table[0]: 0}
     sig_ids = np.zeros(1, dtype=np.int64)
-
-    def merge_adjacent(los, his, sig_ids, dim):
-        """Coalesce boxes identical except for contiguity along ``dim``.
-
-        Constraints that die on a late dimension leave adjacent fragments
-        with re-converged signatures; re-merging them after every
-        dimension pass is what keeps the intermediate working set near
-        the final region count instead of exploding combinatorially.
-        """
-        if len(los) < 2:
-            return los, his, sig_ids
-        other = [d for d in range(n) if d != dim]
-        keys = (
-            [los[:, dim]]
-            + [his[:, d] for d in reversed(other)]
-            + [los[:, d] for d in reversed(other)]
-            + [sig_ids]
-        )
-        order = np.lexsort(keys)
-        lo_s, hi_s, sg_s = los[order], his[order], sig_ids[order]
-        same = (sg_s[1:] == sg_s[:-1])
-        for d in other:
-            same &= (lo_s[1:, d] == lo_s[:-1, d]) & (hi_s[1:, d] == hi_s[:-1, d])
-        contiguous = same & (lo_s[1:, dim] == hi_s[:-1, dim])
-        if not contiguous.any():
-            return los, his, sig_ids
-        new_group = np.concatenate([[True], ~contiguous])
-        gid = np.cumsum(new_group) - 1
-        starts = np.flatnonzero(new_group)
-        out_lo = lo_s[starts]
-        out_hi = hi_s[starts].copy()
-        # Chain end index per group: position before the next start.
-        ends = np.concatenate([starts[1:], [len(lo_s)]]) - 1
-        out_hi[:, dim] = hi_s[ends, dim]
-        return out_lo, out_hi, sg_s[starts]
 
     for di, a in enumerate(attrs):
         for ci, c in enumerate(subs):
@@ -290,18 +149,9 @@ def _partition_arrays(
             )
             mask_alive = alive_tab[sig_ids]
             for p in (proj.lo, proj.hi):
-                strad = mask_alive & (los[:, di] < p) & (his[:, di] > p)
-                if strad.any():
-                    right_los = los[strad].copy()
-                    right_los[:, di] = p
-                    right_his = his[strad].copy()
-                    his[strad, di] = p  # left piece in place
-                    los = np.vstack([los, right_los])
-                    his = np.vstack([his, right_his])
-                    sig_ids = np.concatenate([sig_ids, sig_ids[strad]])
-                    mask_alive = np.concatenate(
-                        [mask_alive, np.ones(int(strad.sum()), dtype=bool)]
-                    )
+                los, his, (sig_ids, mask_alive) = _cut(
+                    los, his, (sig_ids, mask_alive), di, p, mask_alive
+                )
             inside = (los[:, di] >= proj.lo) & (his[:, di] <= proj.hi)
             out_mask = mask_alive & ~inside
             if out_mask.any():
@@ -317,12 +167,11 @@ def _partition_arrays(
                 sig_ids[out_mask] = lut[sig_ids[out_mask]]
         # Re-coalesce fragments along every processed dimension.
         for d in range(di + 1):
-            los, his, sig_ids = merge_adjacent(los, his, sig_ids, d)
-    labels = [
-        true_ccs | frozenset(j for ci in sig for j in cc_of_sub[ci])
-        for sig in sig_table
-    ]
-    return los, his, sig_ids, sig_table, labels
+            los, his, sig_ids = _merge_adjacent(los, his, sig_ids, d)
+    label_of_sig = np.empty(len(sig_table), dtype=object)
+    for s, sig in enumerate(sig_table):
+        label_of_sig[s] = true_ccs | frozenset(j for ci in sig for j in cc_of_sub[ci])
+    return los, his, label_of_sig[sig_ids]
 
 
 def partition_lp_regions(
@@ -330,140 +179,41 @@ def partition_lp_regions(
     domain: Mapping[str, Interval],
     ccs: Sequence[CC],
     shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]],
+    boundaries: Mapping[str, Sequence[int]],
 ) -> list[Region]:
-    """Optimal partition + consistency refinement, fully vectorized.
+    """The LP's regions: one per (CC label × shared-attribute boundary cell).
 
-    Produces one LP region per (CC label × shared-attribute canonical
-    cell), each carrying a single representative box (the lexicographic
-    minimum — the deterministic §5.2 instantiation point). Downstream
-    stages only ever use the representative box, so the full box union is
-    not materialized.
+    The boxes of :func:`label_partition` are cut at ``boundaries[a]`` for
+    every shared attribute ``a``. Those must include every constant of
+    ``ccs`` on ``a`` inside the domain (the LP builder passes the constants
+    of all sub-views' CCs), so each cut box's interval on ``a`` is exactly
+    one boundary cell, named by its low end. Each region keeps only its
+    lexicographically first box, sorted by :func:`box_key`.
     """
-    los, his, sig_ids, _, labels = _partition_arrays(attrs, domain, ccs)
-
-    # Refine at shared-attribute boundaries.
-    for a in shared:
-        di = attrs.index(a)
-        for p in sorted(boundaries_per_attr.get(a, ())):
-            strad = (los[:, di] < p) & (his[:, di] > p)
-            if strad.any():
-                right_los = los[strad].copy()
-                right_los[:, di] = p
-                right_his = his[strad].copy()
-                his[strad, di] = p
-                los = np.vstack([los, right_los])
-                his = np.vstack([his, right_his])
-                sig_ids = np.concatenate([sig_ids, sig_ids[strad]])
-
-    # Canonical cell ids per shared attribute.
-    label_ids = {}
-    label_list: list[frozenset[int]] = []
-    lab_of_sig = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in label_ids:
-            label_ids[lab] = len(label_list)
-            label_list.append(lab)
-        lab_of_sig[i] = label_ids[lab]
-    keys = [lab_of_sig[sig_ids]]
-    cell_bounds: list[tuple[str, np.ndarray]] = []
-    for a in shared:
-        di = attrs.index(a)
-        bnds = np.array(
-            sorted(
-                set(boundaries_per_attr.get(a, ()))
-                | {domain[a].lo, domain[a].hi}
-            ),
-            dtype=np.int64,
-        )
-        cell = np.searchsorted(bnds, los[:, di], side="right") - 1
-        keys.append(cell)
-        cell_bounds.append((a, bnds))
-
-    key_mat = np.stack(keys, axis=1)
-    # Lexicographic order of boxes so the group representative is minimal.
-    order = np.lexsort(tuple(his[:, di] for di in reversed(range(len(attrs)))) +
-                       tuple(los[:, di] for di in reversed(range(len(attrs)))))
-    key_sorted = key_mat[order]
-    _, first_idx = np.unique(key_sorted, axis=0, return_index=True)
-    out: list[Region] = []
-    for fi in first_idx:
-        row = order[fi]
-        lab = label_list[int(key_mat[row, 0])]
-        box = tuple(
-            (a, Interval(int(los[row, di]), int(his[row, di])))
-            for di, a in enumerate(attrs)
-        )
-        out.append(Region((box,), lab))
-    out.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return out
-
-
-def canonical_cell(iv: Interval, boundaries: Sequence[int]) -> tuple[int, int]:
-    """The cell of the sorted ``boundaries`` grid containing ``iv``.
-
-    ``iv`` must not straddle a boundary (guaranteed after
-    :func:`refine_boxes` at those boundaries).
-    """
-    i = bisect.bisect_right(boundaries, iv.lo) - 1
-    lo = boundaries[i] if i >= 0 else iv.lo
-    hi = boundaries[i + 1] if i + 1 < len(boundaries) else iv.hi
-    return (lo, max(hi, iv.hi))
-
-
-def refine_regions_for_consistency(
-    regions: list[Region],
-    attrs: Sequence[str],
-    shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]],
-) -> list[Region]:
-    """Refine a region partition so every region projects onto exactly one
-    *canonical cell* of the shared-attribute grid.
-
-    ``boundaries_per_attr`` maps each shared attribute to its sorted grid
-    boundaries (domain edges included). Two steps: (1) cut each region's
-    boxes at the interior boundaries; (2) split regions whose boxes land in
-    different cells into one sub-region per cell. Labels are inherited —
-    the refinement only subdivides, so CC satisfaction is unchanged.
-    """
-    if not shared:
-        return regions
-    boundaries_per_attr = {
-        a: sorted(pts) for a, pts in boundaries_per_attr.items()
-    }
-
-    def cell_of(b: Box) -> tuple:
-        return tuple(
-            canonical_cell(b[a], boundaries_per_attr.get(a, ())) for a in shared
-        )
-
-    out: list[Region] = []
-    for r in regions:
-        boxes = r.box_dicts()
-        for a in shared:
-            boxes = refine_boxes(boxes, a, boundaries_per_attr.get(a, ()))
-        by_cell: dict[tuple, list[Box]] = {}
-        for b in boxes:
-            by_cell.setdefault(cell_of(b), []).append(b)
-        for cell, boxes_in_cell in sorted(by_cell.items()):
-            boxes_in_cell.sort(key=lambda b: box_key(b, attrs))
-            out.append(
-                Region(tuple(_freeze(b, attrs) for b in boxes_in_cell), r.label)
-            )
-    out.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return out
-
-
-def shared_cell(
-    region: Region,
-    shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]] | None = None,
-) -> tuple:
-    """The canonical shared-attribute cell a refined region lies in."""
-    b = region.first_box()
-    if boundaries_per_attr is None:
-        return tuple((b[a].lo, b[a].hi) for a in shared)
-    return tuple(
-        canonical_cell(b[a], sorted(boundaries_per_attr.get(a, ())))
-        for a in shared
+    los, his, labels = label_partition(attrs, domain, ccs)
+    label_ids: dict[frozenset[int], int] = {}
+    lab = np.fromiter(
+        (label_ids.setdefault(lb, len(label_ids)) for lb in labels),
+        dtype=np.int64,
+        count=len(labels),
     )
+    label_list = list(label_ids)
+    for a in shared:
+        di = attrs.index(a)
+        for p in sorted(boundaries[a]):
+            los, his, (lab,) = _cut(los, his, (lab,), di, p)
+
+    key = np.stack([lab] + [los[:, attrs.index(a)] for a in shared], axis=1)
+    # Lexicographic order of boxes so each group's first row is its minimum.
+    dims = range(len(attrs) - 1, -1, -1)
+    order = np.lexsort(tuple(his[:, d] for d in dims) + tuple(los[:, d] for d in dims))
+    _, first_idx = np.unique(key[order], axis=0, return_index=True)
+    out = [
+        Region(
+            {a: Interval(int(los[i, d]), int(his[i, d])) for d, a in enumerate(attrs)},
+            label_list[lab[i]],
+        )
+        for i in order[first_idx]
+    ]
+    out.sort(key=lambda r: box_key(r.box, attrs))
+    return out

@@ -102,7 +102,7 @@ def view_summaries_from_formulations(
     for view, form in forms.items():
         sols = [
             SubViewSolution(attrs=s.attrs, rows=[
-                (r.first_box(), c) for r, c in form.subview_solution(s)
+                (r.box, c) for r, c in form.subview_solution(s)
             ])
             for s in form.subviews
         ]

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .schema import row_counts
 
@@ -84,12 +83,3 @@ def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFram
         }
     )
     return db
-
-
-def spark_client_db(
-    spark: SparkSession, sf: float = 0.01, seed: int = 7
-) -> dict[str, DataFrame]:
-    return {
-        name: spark.createDataFrame(pdf)
-        for name, pdf in generate_client_db(sf, seed).items()
-    }

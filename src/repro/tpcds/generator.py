@@ -1,7 +1,7 @@
 """Deterministic TPC-DS-lite client-database generator.
 
-Generates pandas frames (driver-side client DB, the thing AQPs run over)
-and Spark DataFrames from them. Fact tables use zipfian item popularity and
+Generates pandas frames (driver-side client DB, the thing AQPs run over).
+Fact tables use zipfian item popularity and
 mild attribute correlations so filter/join CCs span the wide cardinality
 range of Fig 9 rather than concentrating.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .schema import row_counts, tpcds_schema
 
@@ -158,13 +157,3 @@ def generate_client_db(sf: float = 0.01, seed: int = 0) -> dict[str, pd.DataFram
         }
     )
     return db
-
-
-def spark_client_db(
-    spark: SparkSession, sf: float = 0.01, seed: int = 0
-) -> dict[str, DataFrame]:
-    """The client DB as Spark DataFrames (for Spark-side AQP derivation)."""
-    return {
-        name: spark.createDataFrame(pdf)
-        for name, pdf in generate_client_db(sf, seed).items()
-    }

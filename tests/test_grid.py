@@ -8,8 +8,13 @@ from repro.core.grid import (
     grid_partition,
     grid_variable_count,
 )
+from repro.core.regions import label_partition, partition_lp_regions
 
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
+
+
+def area(box):
+    return box["age"].width() * box["salary"].width()
 
 
 def person_ccs():
@@ -46,9 +51,7 @@ class TestGridCounts:
         assert grid_variable_count(("age", "salary"), PERSON_DOMAIN, person_ccs()) == 16
 
     def test_region_vs_grid_gap(self):
-        from repro.core.regions import optimal_partition
-
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        regions = partition_lp_regions(("age", "salary"), PERSON_DOMAIN, person_ccs(), (), {})
         assert len(regions) == 4
         assert grid_variable_count(("age", "salary"), PERSON_DOMAIN, person_ccs()) == 16
 
@@ -64,27 +67,38 @@ class TestGridCounts:
 
 class TestGridPartition:
     def test_cells_are_single_boxes(self):
-        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, person_ccs(), (), {})
         assert len(cells) == 16
-        assert all(len(c.boxes) == 1 for c in cells)
+        assert sum(area(c.box) for c in cells) == 100 * 100
 
     def test_labels_consistent_with_region_partition(self):
-        from repro.core.regions import optimal_partition
-
         ccs = person_ccs()
-        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs)
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, ccs)
+        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, (), {})
+        los, his, labels = label_partition(("age", "salary"), PERSON_DOMAIN, ccs)
         # Total area per label must agree between the two partitions.
-        def area_by_label(parts):
-            out = {}
-            for r in parts:
-                a = sum(
-                    b["age"].width() * b["salary"].width() for b in r.box_dicts()
-                )
-                out[r.label] = out.get(r.label, 0) + a
-            return out
+        grid_area = {}
+        for c in cells:
+            grid_area[c.label] = grid_area.get(c.label, 0) + area(c.box)
+        region_area = {}
+        for lo, hi, lab in zip(los, his, labels):
+            region_area[lab] = region_area.get(lab, 0) + int((hi - lo).prod())
+        assert grid_area == region_area
 
-        assert area_by_label(cells) == area_by_label(regions)
+    def test_shared_attribute_cut_at_boundaries(self):
+        """Cells are cut at the consistency boundaries too, so each cell's
+        interval on a shared attribute is one boundary cell; the cap still
+        counts the unrefined ∏ℓᵢ."""
+        ccs = person_ccs()
+        bounds = [20, 40, 50, 60]
+        cells = grid_partition(
+            ("age", "salary"), PERSON_DOMAIN, ccs, ("age",), {"age": bounds}, cell_cap=16
+        )
+        cuts = [0] + bounds + [100]
+        assert {(c.box["age"].lo, c.box["age"].hi) for c in cells} == set(zip(cuts, cuts[1:]))
+        assert len(cells) == 5 * 4
+        assert sum(area(c.box) for c in cells) == 100 * 100
+        plain = {c.label for c in grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, (), {})}
+        assert {c.label for c in cells} == plain
 
     def test_cap_raises_grid_too_large(self):
         attrs = tuple(f"a{i}" for i in range(10))
@@ -93,5 +107,5 @@ class TestGridPartition:
             total_cc("v", 100)
         ]
         with pytest.raises(GridTooLarge) as exc:
-            grid_partition(attrs, domain, ccs, cell_cap=100)
+            grid_partition(attrs, domain, ccs, (), {}, cell_cap=100)
         assert exc.value.n_cells == 1024

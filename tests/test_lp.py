@@ -101,7 +101,7 @@ class TestConsistencyAcrossSubviews:
         def marginal(s):
             out = {}
             for i, r in enumerate(s.regions):
-                box = r.first_box()
+                box = r.box
                 cell = (box["b"].lo, box["b"].hi)
                 out[cell] = out.get(cell, 0) + int(x[s.offset + i])
             return {k: v for k, v in out.items() if v}
@@ -143,8 +143,12 @@ class TestToySchemaFormulation:
         plans = plan_views(sch, rewrite_ccs(sch, raw))
         for plan in plans.values():
             form = solve_view(formulate_view(plan, mode="region"))
-            assert form.solution is not None
-            assert int(form.solution[: form.subviews[0].n_vars].sum() if False else 0) == 0 or True
+            x = form.solution
+            # The rounded solution satisfies every LP row exactly ...
+            assert np.array_equal(form.system.residuals(x), np.zeros(len(form.system.rows)))
+            # ... and every sub-view holds the whole view.
+            for s in form.subviews:
+                assert int(x[s.offset : s.offset + s.n_vars].sum()) == plan.total
 
     def test_region_vars_fewer_than_grid_vars(self):
         sch = toy_schema()

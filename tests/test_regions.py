@@ -4,20 +4,12 @@ The §3.2 "Person" view (Figure 3) must produce exactly 4 regions where
 grid-partitioning produces 16 cells, and the LP constraints must take the
 Figure 4b shape.
 """
-import pytest
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
-from repro.core.regions import (
-    Region,
-    optimal_partition,
-    refine_boxes,
-    refine_regions_for_consistency,
-    shared_cell,
-    split_interval,
-    split_points,
-    valid_partition,
-)
+from repro.core.regions import label_partition, partition_lp_regions
 
 
 def person_ccs():
@@ -30,39 +22,77 @@ def person_ccs():
     ]
 
 
+PERSON = ("age", "salary")
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
 
 
+def boxes(attrs, domain, ccs):
+    """``label_partition``'s boxes as (box dict, label) pairs."""
+    los, his, labels = label_partition(attrs, domain, ccs)
+    return [
+        ({a: Interval(int(lo[d]), int(hi[d])) for d, a in enumerate(attrs)}, lab)
+        for lo, hi, lab in zip(los, his, labels)
+    ]
+
+
+def area(box):
+    out = 1
+    for iv in box.values():
+        out *= iv.width()
+    return out
+
+
+def area_by_label(attrs, domain, ccs):
+    out = {}
+    for b, lab in boxes(attrs, domain, ccs):
+        out[lab] = out.get(lab, 0) + area(b)
+    return out
+
+
+def cut_1d(iv, cut):
+    """The intervals label_partition cuts ``iv`` into for one CC on ``cut``."""
+    ccs = [CC("v", Predicate.of(a=(cut.lo, cut.hi)), 1)]
+    return sorted((b["a"] for b, _ in boxes(("a",), {"a": iv}, ccs)), key=lambda i: i.lo)
+
+
 class TestSplitInterval:
+    """Definition 4.6's refinement b+/b-: a box is cut only at a CC's bounds
+    that fall inside it, into at most three pieces."""
+
     def test_no_overlap_no_split(self):
-        assert split_interval(Interval(0, 10), Interval(20, 30)) == [Interval(0, 10)]
+        assert cut_1d(Interval(0, 10), Interval(20, 30)) == [Interval(0, 10)]
 
     def test_interior_cut_both_sides(self):
-        assert split_interval(Interval(0, 10), Interval(3, 7)) == [
+        assert cut_1d(Interval(0, 10), Interval(3, 7)) == [
             Interval(0, 3),
             Interval(3, 7),
             Interval(7, 10),
         ]
 
     def test_one_sided_cut(self):
-        assert split_interval(Interval(0, 10), Interval(5, 20)) == [
+        assert cut_1d(Interval(0, 10), Interval(5, 20)) == [
             Interval(0, 5),
             Interval(5, 10),
         ]
 
     def test_covering_cut_no_split(self):
-        assert split_interval(Interval(3, 7), Interval(0, 10)) == [Interval(3, 7)]
+        assert cut_1d(Interval(3, 7), Interval(0, 10)) == [Interval(3, 7)]
+
+
+PERSON_SUBS = [
+    Conjunct.of(age=(0, 40), salary=(0, 40)),
+    Conjunct.of(age=(20, 60), salary=(20, 60)),
+]
 
 
 class TestValidPartition:
     def test_no_constraints_single_block(self):
-        blocks = valid_partition(("a",), {"a": Interval(0, 10)}, [])
-        assert blocks == [{"a": Interval(0, 10)}]
+        assert boxes(("a",), {"a": Interval(0, 10)}, []) == [
+            ({"a": Interval(0, 10)}, frozenset())
+        ]
 
     def test_blocks_partition_domain(self):
-        subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
-        total = sum(b["age"].width() * b["salary"].width() for b in blocks)
+        total = sum(area(b) for b, _ in boxes(PERSON, PERSON_DOMAIN, person_ccs()))
         assert total == 100 * 100
 
     def test_blocks_uniform_per_subconstraint(self):
@@ -70,10 +100,8 @@ class TestValidPartition:
         whole conjunction) — the validity Algorithm 1's labelling needs.
         Blocks already outside on one dimension MAY straddle boundaries on
         another (the pruning that keeps the partition small)."""
-        subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
-        for b in blocks:
-            for c in subs:
+        for b, _ in boxes(PERSON, PERSON_DOMAIN, person_ccs()):
+            for c in PERSON_SUBS:
                 corner_vals = set()
                 for age in (b["age"].lo, b["age"].hi - 1):
                     for sal in (b["salary"].lo, b["salary"].hi - 1):
@@ -81,30 +109,25 @@ class TestValidPartition:
                 assert len(corner_vals) == 1
 
     def test_pruning_beats_grid(self):
-        subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
-        assert len(blocks) < 16  # strictly fewer than the 4×4 grid
+        # strictly fewer than the 4×4 grid
+        assert len(boxes(PERSON, PERSON_DOMAIN, person_ccs())) < 16
 
 
 class TestOptimalPartitionPaperExamples:
     def test_person_has_four_regions(self):
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        regions = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), (), {})
         assert len(regions) == 4  # Figure 3b
 
     def test_person_labels_match_figure_4b(self):
-        ccs = person_ccs()
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, ccs)
+        regions = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), (), {})
         # y1: only CC0 (+total); y2: CC0 and CC1; y3: only CC1; y4: only total.
         labels = sorted(tuple(sorted(r.label)) for r in regions)
         assert labels == [(0, 1, 2), (0, 2), (1, 2), (2,)]
 
     def test_person_region_areas(self):
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
         area = {
-            tuple(sorted(r.label)): sum(
-                b["age"].width() * b["salary"].width() for b in r.box_dicts()
-            )
-            for r in regions
+            tuple(sorted(lab)): n
+            for lab, n in area_by_label(PERSON, PERSON_DOMAIN, person_ccs()).items()
         }
         assert area[(0, 2)] + area[(0, 1, 2)] == 40 * 40  # CC0 area
         assert area[(1, 2)] + area[(0, 1, 2)] == 40 * 40  # CC1 area
@@ -114,15 +137,12 @@ class TestOptimalPartitionPaperExamples:
     def test_dnf_constraint_regions(self):
         # ((a<=20) ∧ (b>30)) ∨ (a>50): 1 CC → 2 regions (in/out).
         p = Predicate((Conjunct.of(a=(0, 21), b=(31, 100)), Conjunct.of(a=(51, 100))))
-        regions = optimal_partition(
-            ("a", "b"),
-            {"a": Interval(0, 100), "b": Interval(0, 100)},
-            [CC("v", p, 10), total_cc("v", 100)],
-        )
-        assert len(regions) == 2
-        in_region = next(r for r in regions if 0 in r.label)
-        area = sum(b["a"].width() * b["b"].width() for b in in_region.box_dicts())
-        assert area == 21 * 69 + 49 * 100  # |a∈[0,21)|·|b∈[31,100)| + |a∈[51,100)|·100
+        attrs = ("a", "b")
+        domain = {"a": Interval(0, 100), "b": Interval(0, 100)}
+        ccs = [CC("v", p, 10), total_cc("v", 100)]
+        assert len(partition_lp_regions(attrs, domain, ccs, (), {})) == 2
+        # |a∈[0,21)|·|b∈[31,100)| + |a∈[51,100)|·100
+        assert area_by_label(attrs, domain, ccs)[frozenset({0, 1})] == 21 * 69 + 49 * 100
 
     def test_disjoint_ccs(self):
         ccs = [
@@ -130,11 +150,11 @@ class TestOptimalPartitionPaperExamples:
             CC("v", Predicate.of(a=(20, 30)), 7),
             total_cc("v", 100),
         ]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-        # [0,10) / [10,20)∪[30,100) / [20,30): outside blocks merge.
-        assert len(regions) == 3
-        outside = next(r for r in regions if r.label == frozenset({2}))
-        assert len(outside.boxes) == 2
+        domain = {"a": Interval(0, 100)}
+        # [0,10) / [10,20)∪[30,100) / [20,30): outside blocks share a label.
+        assert len(partition_lp_regions(("a",), domain, ccs, (), {})) == 3
+        outside = [b for b, lab in boxes(("a",), domain, ccs) if lab == frozenset({2})]
+        assert len(outside) == 2
 
     def test_nested_ccs(self):
         ccs = [
@@ -142,73 +162,118 @@ class TestOptimalPartitionPaperExamples:
             CC("v", Predicate.of(a=(10, 20)), 2),
             total_cc("v", 10),
         ]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-        assert len(regions) == 3
+        assert len(partition_lp_regions(("a",), {"a": Interval(0, 100)}, ccs, (), {})) == 3
 
     def test_deterministic_output(self):
-        r1 = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
-        r2 = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        r1 = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), ("age",), {"age": [20, 40, 60]})
+        r2 = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), ("age",), {"age": [20, 40, 60]})
         assert r1 == r2
+        assert boxes(PERSON, PERSON_DOMAIN, person_ccs()) == boxes(
+            PERSON, PERSON_DOMAIN, person_ccs()
+        )
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    bounds=st.lists(
-        st.tuples(st.integers(0, 99), st.integers(1, 100)).map(
-            lambda t: (min(t[0], t[1] - 1), max(t[0] + 1, t[1]))
-        ),
-        min_size=1,
-        max_size=4,
+def _intervals(n):
+    return st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(
+        lambda t: (min(t[0], t[1] - 1), max(t[0] + 1, t[1]))
     )
-)
-def test_optimal_partition_is_valid_and_covers(bounds):
-    """Property: regions partition the domain and every region is label-pure
-    (checked point-wise on a 1-D domain)."""
-    ccs = [CC("v", Predicate.of(a=b), 1) for b in bounds] + [total_cc("v", 10)]
-    regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-    covered = 0
-    for r in regions:
-        for box in r.box_dicts():
-            covered += box["a"].width()
-            for v in (box["a"].lo, box["a"].hi - 1):
-                sat = frozenset(
-                    i for i, cc in enumerate(ccs) if cc.predicate.matches_point({"a": v})
-                )
-                assert sat == r.label
-    assert covered == 100
-    # Distinct labels ⇒ minimality (Lemma 4.3: quotient set is optimal).
-    labels = [r.label for r in regions]
-    assert len(labels) == len(set(labels))
+
+
+@st.composite
+def domain_and_ccs(draw):
+    """A small 2-D integer domain and 1–4 CCs, each a DNF of 1–2 conjuncts
+    restricting a, b or both."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    ccs = []
+    for _ in range(draw(st.integers(1, 4))):
+        conjuncts = []
+        for _ in range(draw(st.integers(1, 2))):
+            on = draw(st.sampled_from([("a",), ("b",), ("a", "b")]))
+            conjuncts.append(
+                Conjunct.of(**{x: draw(_intervals(w if x == "a" else h)) for x in on})
+            )
+        ccs.append(CC("v", Predicate(tuple(conjuncts)), 1))
+    return {"a": Interval(0, w), "b": Interval(0, h)}, ccs + [total_cc("v", 10)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=domain_and_ccs())
+def test_optimal_partition_is_valid_and_covers(case):
+    """Property, checked point by point on a 2-D domain: the boxes tile the
+    domain, each label's boxes cover exactly the points with that label,
+    and there is one region per distinct point label (Lemma 4.3: the
+    quotient set is the optimal partition)."""
+    domain, ccs = case
+    attrs = ("a", "b")
+    point_labels = {}
+    for p in itertools.product(range(domain["a"].hi), range(domain["b"].hi)):
+        point = dict(zip(attrs, p))
+        point_labels[p] = frozenset(
+            i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point)
+        )
+    count = {}
+    for lab in point_labels.values():
+        count[lab] = count.get(lab, 0) + 1
+
+    covered = set()
+    for b, lab in boxes(attrs, domain, ccs):
+        for p in itertools.product(range(b["a"].lo, b["a"].hi), range(b["b"].lo, b["b"].hi)):
+            assert p not in covered
+            covered.add(p)
+            assert point_labels[p] == lab
+    assert covered == set(point_labels)
+    assert area_by_label(attrs, domain, ccs) == count
+    regions = partition_lp_regions(attrs, domain, ccs, (), {})
+    assert sorted(map(sorted, (r.label for r in regions))) == sorted(map(sorted, count))
+
+
+def one_cell_each(regions, attr, boundaries, domain):
+    cuts = sorted(set(boundaries) | {domain.lo, domain.hi})
+    cells = set(zip(cuts, cuts[1:]))
+    return all((r.box[attr].lo, r.box[attr].hi) in cells for r in regions)
 
 
 class TestConsistencyRefinement:
     def test_refine_boxes_cuts_at_points(self):
-        boxes = [{"a": Interval(0, 100)}]
-        out = refine_boxes(boxes, "a", [30, 60])
-        assert [b["a"] for b in out] == [Interval(0, 30), Interval(30, 60), Interval(60, 100)]
+        regions = partition_lp_regions(
+            ("a",), {"a": Interval(0, 100)}, [total_cc("v", 1)], ("a",), {"a": [30, 60]}
+        )
+        assert [r.box["a"] for r in regions] == [
+            Interval(0, 30), Interval(30, 60), Interval(60, 100)
+        ]
 
     def test_refine_regions_groups_by_shared_cell(self):
         ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
-        regions = optimal_partition(
-            ("a", "b"), {"a": Interval(0, 100), "b": Interval(0, 10)}, ccs
-        )
-        refined = refine_regions_for_consistency(
-            regions, ("a", "b"), ("a",), {"a": {0, 25, 50, 100}}
-        )
-        cells = {shared_cell(r, ("a",)) for r in refined}
-        assert ((0, 25),) in cells and ((25, 50),) in cells
-        # Every refined region's boxes all live in one shared cell.
-        for r in refined:
-            assert len({(b["a"].lo, b["a"].hi) for b in r.box_dicts()}) == 1
+        domain = {"a": Interval(0, 100), "b": Interval(0, 10)}
+        regions = partition_lp_regions(("a", "b"), domain, ccs, ("a",), {"a": [25, 50]})
+        cells = {(r.box["a"].lo, r.box["a"].hi) for r in regions}
+        assert cells == {(0, 25), (25, 50), (50, 100)}
+        assert one_cell_each(regions, "a", [25, 50], domain["a"])
 
     def test_refinement_preserves_coverage(self):
         ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-        refined = refine_regions_for_consistency(
-            regions, ("a",), ("a",), {"a": {10, 20, 99}}
+        regions = partition_lp_regions(
+            ("a",), {"a": Interval(0, 100)}, ccs, ("a",), {"a": [10, 20, 50, 99]}
         )
-        assert sum(b["a"].width() for r in refined for b in r.box_dicts()) == 100
+        assert sum(r.box["a"].width() for r in regions) == 100
 
     def test_split_points(self):
-        boxes = [{"a": Interval(0, 30)}, {"a": Interval(30, 100)}]
-        assert split_points(boxes, "a") == {0, 30, 100}
+        """Every box edge is a CC constant or a domain edge — what lets the
+        LP key a region by its own interval on a shared attribute."""
+        ccs = person_ccs()
+        constants = {0, 20, 40, 60, 100}
+        for b, _ in boxes(PERSON, PERSON_DOMAIN, ccs):
+            for iv in b.values():
+                assert {iv.lo, iv.hi} <= constants
+
+    def test_each_region_is_one_shared_cell(self):
+        p = Predicate((Conjunct.of(a=(0, 21), b=(31, 100)), Conjunct.of(a=(51, 100))))
+        ccs = [CC("v", p, 10), CC("v", Predicate.of(a=(10, 70)), 4), total_cc("v", 100)]
+        domain = {"a": Interval(0, 100), "b": Interval(0, 100)}
+        bounds = [10, 21, 35, 51, 70]  # the CC constants on a, plus one more
+        regions = partition_lp_regions(("a", "b"), domain, ccs, ("a",), {"a": bounds})
+        assert one_cell_each(regions, "a", bounds, domain["a"])
+        # Cutting keeps one region per (label, cell) that holds any point.
+        label_only = partition_lp_regions(("a", "b"), domain, ccs, (), {})
+        assert len(regions) > len(label_only)
+        assert {r.label for r in regions} == {r.label for r in label_only}
