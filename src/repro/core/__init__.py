@@ -4,7 +4,8 @@ Modules are layered bottom-up:
 
 - :mod:`repro.core.schema` / :mod:`repro.core.constraints` — data model for
   relations, FK DAGs, intervals, DNF predicates and cardinality constraints.
-- :mod:`repro.core.workload` — AQP derivation (executed on Spark) → CCs.
+- :mod:`repro.core.workload` — AQP derivation → CCs, and the one FK join
+  planner with its pandas and Spark executors.
 - :mod:`repro.core.preprocess` — DataSynth's view/sub-view decomposition.
 - :mod:`repro.core.regions` / :mod:`repro.core.grid` — HYDRA's
   region-partitioning (Algorithms 1 & 2, one vectorized partitioner) vs
@@ -17,6 +18,4 @@ Modules are layered bottom-up:
   regeneration on Spark and static materialization.
 - :mod:`repro.core.hydra` / :mod:`repro.core.datasynth` — end-to-end drivers.
 - :mod:`repro.core.metrics` — volumetric similarity measurement.
-- :mod:`repro.core.anonymize` — the client-site Anonymizer (§3.1); nothing
-  calls it yet.
 """

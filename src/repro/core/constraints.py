@@ -43,9 +43,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def overlaps(self, other: "Interval") -> bool:
-        return not self.intersect(other).empty
-
     def width(self) -> int:
         return max(0, self.hi - self.lo)
 
@@ -154,7 +151,11 @@ class Predicate:
         return " OR ".join(f"({c.to_sql()})" for c in self.conjuncts)
 
     def conjoin(self, other: "Predicate") -> "Predicate":
-        """DNF conjunction — distributes conjuncts; drops empty products."""
+        """DNF conjunction — distributes conjuncts; drops empty products.
+
+        Raises ``ValueError`` when every product is empty: the conjunction
+        is unsatisfiable, and the empty DNF would read as TRUE.
+        """
         if self.is_true:
             return other
         if other.is_true:
@@ -173,6 +174,8 @@ class Predicate:
                     merged[a] = iv2
                 if ok:
                     out.append(Conjunct(tuple(sorted(merged.items()))))
+        if not out:
+            raise ValueError(f"contradiction: ({self.to_sql()}) AND ({other.to_sql()})")
         return Predicate(tuple(out))
 
 

@@ -24,11 +24,10 @@ feasible point which, rounded, becomes the NumTuples assignment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CC, Interval
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
 from .regions import Region, partition_lp_regions
@@ -74,12 +73,6 @@ class ViewFormulation:
             if c > 0:
                 out.append((r, c))
         return out
-
-
-def _covering_subviews(plan: ViewPlan, cc: CC) -> list[int]:
-    return [
-        i for i, sv in enumerate(plan.subviews) if cc.predicate.attrs <= set(sv)
-    ]
 
 
 def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, list[int]]:

@@ -9,7 +9,6 @@ files back.
 """
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
@@ -31,17 +30,6 @@ def materialize_relation(
     df = generate_relation(spark, schema, db, rel_name)
     df.write.mode("overwrite").parquet(str(path))
     return path
-
-
-def materialize_database(
-    spark: SparkSession, schema: Schema, db: DatabaseSummary, out_dir: str | Path
-) -> tuple[dict[str, Path], float]:
-    """Materialize every relation; returns (paths, wall seconds)."""
-    t0 = time.perf_counter()
-    paths = {
-        r: materialize_relation(spark, schema, db, r, out_dir) for r in db.relations
-    }
-    return paths, time.perf_counter() - t0
 
 
 def scan_parquet(spark: SparkSession, path: str | Path) -> DataFrame:

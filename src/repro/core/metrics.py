@@ -3,12 +3,8 @@
 The quality metric is per-CC relative error between the client cardinality
 ``k`` and the cardinality the regenerated database *actually* produces for
 the same operator. Achieved cardinalities are measured by re-executing each
-CC's join + filter:
-
-- on Spark over regenerated relations (the end-to-end engine path used in
-  tests and the Fig 10 harness), or
-- on pandas frames (fast path for large CC batches; pinned equal to the
-  Spark path by tests).
+CC's join + filter on pandas frames of the regenerated relations, with the
+join planner and pandas executor of :mod:`repro.core.workload`.
 
 Signed relative error is reported because the paper highlights that
 DataSynth errs in both directions while HYDRA only errs positively
@@ -20,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-import pyspark.sql.functions as F
 
 from .constraints import CC
 from .schema import Schema
-from .workload import _join_pandas, _join_spark
+from .workload import join_order, pandas_count, pandas_joins
 
 
 @dataclass
@@ -41,45 +35,13 @@ class CCError:
         return (self.achieved - self.cc.count) / self.cc.count
 
 
-def _join_order(schema: Schema, cc: CC) -> tuple[str, ...]:
-    """Root-first FK-path order over the CC's join set."""
-    tables = set(cc.tables)
-    root = schema.join_root(tables)
-    order = [root]
-    remaining = tables - {root}
-    while remaining:
-        progress = False
-        for t in sorted(remaining):
-            if any(t in schema.dependencies(r) for r in order):
-                order.append(t)
-                remaining.discard(t)
-                progress = True
-                break
-        if not progress:
-            raise ValueError(f"join set {sorted(tables)} not FK-path-closed")
-    return tuple(order)
-
-
 def achieved_counts_pandas(
     schema: Schema, tables: dict[str, pd.DataFrame], ccs: list[CC]
 ) -> list[CCError]:
     out = []
     for cc in ccs:
-        joined = _join_pandas(schema, tables, _join_order(schema, cc))
-        n = len(joined) if cc.predicate.is_true else int(cc.predicate.mask(joined).sum())
-        out.append(CCError(cc=cc, achieved=n))
-    return out
-
-
-def achieved_counts_spark(
-    schema: Schema, tables: dict[str, DataFrame], ccs: list[CC]
-) -> list[CCError]:
-    out = []
-    for cc in ccs:
-        joined = _join_spark(schema, tables, _join_order(schema, cc))
-        if not cc.predicate.is_true:
-            joined = joined.filter(F.expr(cc.predicate.to_sql()))
-        out.append(CCError(cc=cc, achieved=joined.count()))
+        *_, joined = pandas_joins(schema, tables, join_order(schema, cc.tables))
+        out.append(CCError(cc=cc, achieved=pandas_count(joined, cc.predicate)))
     return out
 
 
@@ -106,20 +68,3 @@ def signed_error_split(errors: list[CCError]) -> tuple[int, int, int]:
     zero = len(errors) - neg - pos
     return neg, zero, pos
 
-
-def cardinality_log_histogram(
-    ccs: list[CC], n_buckets: int = 10
-) -> list[tuple[str, int]]:
-    """Figs 9/16: distribution of CC cardinalities on a log10 scale."""
-    out = []
-    counts = [cc.count for cc in ccs]
-    for b in range(n_buckets):
-        lo, hi = 10**b, 10 ** (b + 1)
-        label = f"[1e{b},1e{b + 1})"
-        if b == 0:
-            n = sum(1 for c in counts if c < hi)
-            label = f"[0,1e{b + 1})"
-        else:
-            n = sum(1 for c in counts if lo <= c < hi)
-        out.append((label, n))
-    return out

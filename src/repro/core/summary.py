@@ -50,9 +50,6 @@ class ViewSummary:
             agg[v] = agg.get(v, 0) + c
         self.rows = sorted((v, c) for v, c in agg.items() if c > 0)
 
-    def project(self, attrs: tuple[str, ...], values: tuple[int, ...]) -> dict[str, int]:
-        return dict(zip(attrs, values))
-
 
 @dataclass
 class RelationSummary:

@@ -9,15 +9,16 @@ cumulative NumTuples first reaches *r*.
 Here the same contract is implemented as a ``DataFrame → DataFrame``
 physical-operator substitute: ``spark.range(1, N+1)`` supplies the PK
 stream (partitioned across the cluster), and an Arrow ``mapInPandas``
-stage decodes each PK batch with a vectorized ``searchsorted`` over the
-(broadcast-via-closure, minuscule) summary arrays. A true JVM scan
-operator is out of scope for a PySpark reproduction (see DESIGN.md);
-this keeps generation inside Catalyst so downstream joins/aggregates in
-the evaluation run as ordinary Spark SQL.
+stage decodes each PK batch with the vectorized ``searchsorted`` lookup of
+:func:`decoder` over the (shipped-in-the-closure, minuscule) summary
+arrays. :func:`decode_rows` and :func:`relation_to_pandas` run the same
+lookup driver-side. A true JVM scan operator is out of scope for a PySpark
+reproduction (see DESIGN.md); this keeps generation inside Catalyst so
+downstream joins/aggregates in the evaluation run as ordinary Spark SQL.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -28,15 +29,28 @@ from .schema import Schema
 from .summary import DatabaseSummary, RelationSummary
 
 
+def decoder(summary: RelationSummary) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """The §6 lookup of one relation: 1-based PK positions → column arrays.
+
+    ``cumsum(NumTuples)`` is computed once, here; the returned closure holds
+    only numpy arrays, so Spark pickles it by value into its tasks.
+    """
+    bounds = np.cumsum(summary.frame["numtuples"].to_numpy())
+    values = {c: summary.frame[c].to_numpy() for c in summary.frame.columns if c != "numtuples"}
+    n = summary.total_rows
+
+    def decode(pks: np.ndarray) -> dict[str, np.ndarray]:
+        if len(pks) and (pks.min() < 1 or pks.max() > n):
+            raise IndexError("PK out of range for relation summary")
+        idx = np.searchsorted(bounds, pks, side="left")  # first bound >= pk
+        return {c: arr[idx] for c, arr in values.items()}
+
+    return decode
+
+
 def decode_rows(summary: RelationSummary, pks: np.ndarray) -> pd.DataFrame:
     """Decode tuple values for 1-based PK positions (vectorized §6 lookup)."""
-    counts = summary.frame["numtuples"].to_numpy()
-    bounds = np.cumsum(counts)  # row r belongs to first bound >= r
-    idx = np.searchsorted(bounds, pks, side="left")
-    if len(pks) and (pks.min() < 1 or pks.max() > summary.total_rows):
-        raise IndexError("PK out of range for relation summary")
-    cols = {c: summary.frame[c].to_numpy()[idx] for c in summary.frame.columns if c != "numtuples"}
-    return pd.DataFrame(cols)
+    return pd.DataFrame(decoder(summary)(pks))
 
 
 def relation_schema(schema: Schema, rel_name: str) -> T.StructType:
@@ -63,30 +77,19 @@ def generate_relation(
     Returns a DataFrame that *is* the relation: scanning it synthesizes
     tuples from the summary on demand; nothing is read from disk.
     """
-    rel = schema[rel_name]
     summary = db.relations[rel_name]
     n = summary.total_rows
     out_schema = relation_schema(schema, rel_name)
     col_order = [f.name for f in out_schema.fields]
+    pk_name = schema[rel_name].pk
     # The summary is tiny (data-scale independent); shipping it in the task
     # closure is the moral equivalent of the engine holding it in memory.
-    counts = summary.frame["numtuples"].to_numpy()
-    bounds = np.cumsum(counts)
-    values = {
-        c: summary.frame[c].to_numpy()
-        for c in summary.frame.columns
-        if c != "numtuples"
-    }
-    pk_name = rel.pk
+    lookup = decoder(summary)
 
     def decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for batch in batches:
             pks = batch["id"].to_numpy()
-            idx = np.searchsorted(bounds, pks, side="left")
-            out = {pk_name: pks}
-            for c, arr in values.items():
-                out[c] = arr[idx]
-            yield pd.DataFrame(out)[col_order]
+            yield pd.DataFrame({pk_name: pks, **lookup(pks)})[col_order]
 
     rng = (
         spark.range(1, n + 1)
@@ -102,24 +105,15 @@ def relation_to_pandas(
     """Decode a whole relation driver-side (small scales / metrics paths).
 
     Exactly the operator's semantics without a Spark job: PKs 1..N decoded
-    through :func:`decode_rows`; column order matches the Spark schema.
+    through :func:`decoder`; columns in :func:`relation_schema` order.
     """
-    rel = schema[rel_name]
     summary = db.relations[rel_name]
-    n = summary.total_rows
-    pks = np.arange(1, n + 1, dtype=np.int64)
-    pdf = decode_rows(summary, pks)
-    pdf.insert(0, rel.pk, pks)
-    order = [rel.pk] + sorted(rel.fks) + [a.name for a in rel.attrs]
-    return pdf[order]
+    pks = np.arange(1, summary.total_rows + 1, dtype=np.int64)
+    cols = decoder(summary)(pks)
+    order = [f.name for f in relation_schema(schema, rel_name).fields]
+    return pd.DataFrame({schema[rel_name].pk: pks, **cols})[order]
 
 
 def database_to_pandas(schema: Schema, db: DatabaseSummary) -> dict[str, pd.DataFrame]:
     return {r: relation_to_pandas(schema, db, r) for r in db.relations}
 
-
-def generate_database(
-    spark: SparkSession, schema: Schema, db: DatabaseSummary
-) -> dict[str, DataFrame]:
-    """Dynamic-generation DataFrames for every relation in the summary."""
-    return {r: generate_relation(spark, schema, db, r) for r in db.relations}

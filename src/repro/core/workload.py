@@ -11,16 +11,21 @@ its output cardinality; parsing it yields one CC per annotated edge
 - ``|σ(root ⋈ t₁ … ⋈ tᵢ)|`` for every join prefix, with the predicate
   being the conjunction of the filters on the relations joined so far.
 
-Cardinalities are obtained by *executing* the plan on the client database —
-on Spark (the engine path, exercising real shuffle joins) or on pandas
-(a fast exact path for large workloads); a test pins their agreement.
+One join planner serves both the AQPs here and the achieved-cardinality
+measurement in :mod:`repro.core.metrics`: :func:`join_order` puts a join
+set root first, and :func:`join_edges` picks the FK edge that joins each
+later relation. Each engine executes the plan with a generator of join
+prefixes and a ``count(frame, predicate)``: pandas (:func:`pandas_joins`,
+used by the pipeline) and Spark (:func:`spark_joins`, real shuffle joins).
+``tests/test_workload.py`` pins that both derive the same CCs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 import pyspark.sql.functions as F
 
 from .constraints import Predicate
@@ -51,128 +56,118 @@ class QuerySpec:
         return Predicate.true()
 
     def validate(self, schema: Schema) -> None:
-        reached = {self.root}
-        for t in self.tables[1:]:
-            if not any(
-                t in schema.dependencies(r) for r in reached
-            ):
-                raise ValueError(
-                    f"{t} not FK-reachable from already-joined {sorted(reached)}"
-                )
-            reached.add(t)
+        join_edges(schema, self.tables)
         for t, p in self.filters:
             own = {a.name for a in schema[t].attrs}
             if not p.attrs <= own:
                 raise ValueError(f"filter on {t} uses foreign attrs {p.attrs - own}")
 
 
-def _join_pandas(
+def join_order(schema: Schema, tables: Iterable[str]) -> tuple[str, ...]:
+    """Root-first FK-path order over a join set (a CC's ``tables``)."""
+    tables = set(tables)
+    order = [schema.join_root(tables)]
+    while len(order) < len(tables):
+        nxt = [t for t in sorted(tables - set(order))
+               if any(t in schema.dependencies(r) for r in order)]
+        if not nxt:
+            raise ValueError(f"join set {sorted(tables)} not FK-path-closed")
+        order.append(nxt[0])
+    return tuple(order)
+
+
+def join_edges(schema: Schema, names: tuple[str, ...]) -> list[tuple[str, str]]:
+    """``(fk column, relation)`` joining each relation after the first.
+
+    The FK is that of the first already-joined relation referencing the
+    relation. Raises ``ValueError`` on a repeated relation or on one that
+    no already-joined relation references.
+    """
+    if len(set(names)) != len(names):
+        raise ValueError(f"relation repeated in join {names}")
+    edges = []
+    for i, t in enumerate(names[1:], 1):
+        fks = [fk for r in names[:i] for fk, target in schema[r].fks.items() if target == t]
+        if not fks:
+            raise ValueError(f"{t} not FK-reachable from already-joined {sorted(names[:i])}")
+        edges.append((fks[0], t))
+    return edges
+
+
+def pandas_joins(
     schema: Schema, tables: dict[str, pd.DataFrame], names: tuple[str, ...]
-) -> pd.DataFrame:
+) -> Iterator[pd.DataFrame]:
+    """Every join prefix of ``names``, shortest first, one merge per edge."""
     out = tables[names[0]]
-    joined = [names[0]]
-    for t in names[1:]:
-        # Find the FK edge from an already-joined relation to t.
-        src_fk = None
-        for r in joined:
-            for fk, target in schema[r].fks.items():
-                if target == t and fk in out.columns:
-                    src_fk = fk
-                    break
-            if src_fk:
-                break
-        assert src_fk is not None, f"no FK edge into {t}"
-        out = out.merge(
-            tables[t], left_on=src_fk, right_on=schema[t].pk, how="inner"
-        )
-        joined.append(t)
-    return out
+    yield out
+    for fk, t in join_edges(schema, names):
+        out = out.merge(tables[t], left_on=fk, right_on=schema[t].pk, how="inner")
+        yield out
 
 
-def _join_spark(
+def pandas_count(frame: pd.DataFrame, pred: Predicate) -> int:
+    return len(frame) if pred.is_true else int(pred.mask(frame).sum())
+
+
+def spark_joins(
     schema: Schema, tables: dict[str, DataFrame], names: tuple[str, ...]
-) -> DataFrame:
+) -> Iterator[DataFrame]:
+    """Every join prefix of ``names``, shortest first, one join per edge."""
     out = tables[names[0]]
-    joined = [names[0]]
-    for t in names[1:]:
-        src_fk = None
-        for r in joined:
-            for fk, target in schema[r].fks.items():
-                if target == t and fk in out.columns:
-                    src_fk = fk
-                    break
-            if src_fk:
-                break
-        assert src_fk is not None, f"no FK edge into {t}"
-        out = out.join(tables[t], on=F.col(src_fk) == F.col(schema[t].pk), how="inner")
-        joined.append(t)
-    return out
+    yield out
+    for fk, t in join_edges(schema, names):
+        out = out.join(tables[t], on=F.col(fk) == F.col(schema[t].pk), how="inner")
+        yield out
 
 
-def _prefix_predicate(q: QuerySpec, prefix: tuple[str, ...]) -> Predicate:
-    pred = Predicate.true()
-    for t in prefix:
-        pred = pred.conjoin(q.filter_of(t))
-    return pred
+def spark_count(frame: DataFrame, pred: Predicate) -> int:
+    return frame.count() if pred.is_true else frame.filter(F.expr(pred.to_sql())).count()
+
+
+def _derive_ccs(
+    schema: Schema,
+    tables: dict,
+    queries: list[QuerySpec],
+    joins: Callable[[Schema, dict, tuple[str, ...]], Iterator],
+    count: Callable[[object, Predicate], int],
+) -> list[RawCC]:
+    """Execute every query's plan with one engine's ``joins``/``count`` and
+    emit its CCs, each distinct (join set, predicate) once."""
+    raw: list[RawCC] = []
+    seen: set[tuple] = set()
+
+    def emit(tbls: frozenset[str], pred: Predicate, n: int) -> None:
+        if (tbls, pred) not in seen:
+            seen.add((tbls, pred))
+            raw.append(RawCC(tables=tbls, predicate=pred, count=n))
+
+    for q in queries:
+        q.validate(schema)
+        for t in q.tables:
+            emit(frozenset({t}), Predicate.true(), count(tables[t], Predicate.true()))
+            p = q.filter_of(t)
+            if not p.is_true:
+                emit(frozenset({t}), p, count(tables[t], p))
+        pred = Predicate.true()
+        for i, joined in enumerate(joins(schema, tables, q.tables)):
+            pred = pred.conjoin(q.filter_of(q.tables[i]))
+            if i:
+                emit(frozenset(q.tables[: i + 1]), pred, count(joined, pred))
+    return raw
 
 
 def derive_ccs_pandas(
     schema: Schema, tables: dict[str, pd.DataFrame], queries: list[QuerySpec]
 ) -> list[RawCC]:
     """Execute every query's plan on pandas frames and emit its CCs."""
-    raw: list[RawCC] = []
-    seen: set[tuple] = set()
-
-    def emit(tbls: frozenset[str], pred: Predicate, count: int) -> None:
-        key = (tbls, pred)
-        if key not in seen:
-            seen.add(key)
-            raw.append(RawCC(tables=tbls, predicate=pred, count=count))
-
-    for q in queries:
-        q.validate(schema)
-        for t in q.tables:
-            emit(frozenset({t}), Predicate.true(), len(tables[t]))
-            p = q.filter_of(t)
-            if not p.is_true:
-                emit(frozenset({t}), p, int(p.mask(tables[t]).sum()))
-        for i in range(2, len(q.tables) + 1):
-            prefix = q.tables[:i]
-            joined = _join_pandas(schema, tables, prefix)
-            pred = _prefix_predicate(q, prefix)
-            count = int(pred.mask(joined).sum()) if not pred.is_true else len(joined)
-            emit(frozenset(prefix), pred, count)
-    return raw
+    return _derive_ccs(schema, tables, queries, pandas_joins, pandas_count)
 
 
 def derive_ccs_spark(
     schema: Schema, tables: dict[str, DataFrame], queries: list[QuerySpec]
 ) -> list[RawCC]:
     """Same AQP derivation, executed on Spark (real shuffle-join plans)."""
-    raw: list[RawCC] = []
-    seen: set[tuple] = set()
-
-    def emit(tbls: frozenset[str], pred: Predicate, count: int) -> None:
-        key = (tbls, pred)
-        if key not in seen:
-            seen.add(key)
-            raw.append(RawCC(tables=tbls, predicate=pred, count=count))
-
-    for q in queries:
-        q.validate(schema)
-        for t in q.tables:
-            emit(frozenset({t}), Predicate.true(), tables[t].count())
-            p = q.filter_of(t)
-            if not p.is_true:
-                emit(frozenset({t}), p, tables[t].filter(F.expr(p.to_sql())).count())
-        for i in range(2, len(q.tables) + 1):
-            prefix = q.tables[:i]
-            joined = _join_spark(schema, tables, prefix)
-            pred = _prefix_predicate(q, prefix)
-            if not pred.is_true:
-                joined = joined.filter(F.expr(pred.to_sql()))
-            emit(frozenset(prefix), pred, joined.count())
-    return raw
+    return _derive_ccs(schema, tables, queries, spark_joins, spark_count)
 
 
 def base_size_ccs(

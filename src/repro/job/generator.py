@@ -4,16 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.tpcds.generator import _zipf_choice
+
 from .schema import row_counts
 
 
-def _zipf_choice(
-    g: np.random.Generator, n_keys: int, size: int, alpha: float = 1.1
-) -> np.ndarray:
-    ranks = np.arange(1, n_keys + 1)
-    w = 1.0 / ranks**alpha
-    w /= w.sum()
-    return g.choice(ranks, size=size, p=w)
+#: Zipf exponent of the link tables' movie/person/company references.
+ZIPF_ALPHA = 1.1
 
 
 def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFrame]:
@@ -50,8 +47,8 @@ def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFram
     db["cast_info"] = pd.DataFrame(
         {
             "ci_id": np.arange(1, k + 1),
-            "ci_movie_id": _zipf_choice(g, nt, k),
-            "ci_person_id": _zipf_choice(g, nn, k),
+            "ci_movie_id": _zipf_choice(g, nt, k, alpha=ZIPF_ALPHA),
+            "ci_person_id": _zipf_choice(g, nn, k, alpha=ZIPF_ALPHA),
             "ci_role_id": g.integers(1, 12, k),
             "ci_nr_order": g.integers(0, 100, k),
         }
@@ -60,7 +57,7 @@ def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFram
     db["movie_info"] = pd.DataFrame(
         {
             "mi_id": np.arange(1, k + 1),
-            "mi_movie_id": _zipf_choice(g, nt, k),
+            "mi_movie_id": _zipf_choice(g, nt, k, alpha=ZIPF_ALPHA),
             "mi_info_type_id": g.integers(1, 111, k),
             "mi_value": g.integers(0, 1000, k),
         }
@@ -69,8 +66,8 @@ def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFram
     db["movie_companies"] = pd.DataFrame(
         {
             "mc_id": np.arange(1, k + 1),
-            "mc_movie_id": _zipf_choice(g, nt, k),
-            "mc_company_id": _zipf_choice(g, ncn, k),
+            "mc_movie_id": _zipf_choice(g, nt, k, alpha=ZIPF_ALPHA),
+            "mc_company_id": _zipf_choice(g, ncn, k, alpha=ZIPF_ALPHA),
             "mc_company_type_id": g.integers(1, 3, k),
         }
     )
@@ -78,7 +75,7 @@ def generate_client_db(sf: float = 0.01, seed: int = 7) -> dict[str, pd.DataFram
     db["movie_keyword"] = pd.DataFrame(
         {
             "mk_id": np.arange(1, k + 1),
-            "mk_movie_id": _zipf_choice(g, nt, k),
+            "mk_movie_id": _zipf_choice(g, nt, k, alpha=ZIPF_ALPHA),
             "mk_keyword_id": g.integers(1, 135, k),
         }
     )

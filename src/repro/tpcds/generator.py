@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .schema import row_counts, tpcds_schema
+from .schema import row_counts
 
 
 def _zipf_choice(

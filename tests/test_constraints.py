@@ -112,9 +112,17 @@ class TestPredicate:
         assert all(c.restriction("b") == Interval(5, 6) for c in out.conjuncts)
 
     def test_conjoin_drops_empty_products(self):
+        p1 = Predicate((Conjunct.of(a=(0, 10)), Conjunct.of(a=(40, 50))))
+        p2 = Predicate.of(a=(20, 45))
+        assert p1.conjoin(p2).conjuncts == (Conjunct.of(a=(40, 45)),)
+
+    def test_conjoin_contradiction_raises(self):
+        """An unsatisfiable conjunction must not become the empty DNF,
+        which reads as TRUE and would match a=25."""
         p1 = Predicate.of(a=(0, 10))
         p2 = Predicate.of(a=(20, 30))
-        assert p1.conjoin(p2).conjuncts == ()
+        with pytest.raises(ValueError):
+            p1.conjoin(p2)
 
     def test_conjoin_with_true(self):
         p = Predicate.of(a=(0, 10))

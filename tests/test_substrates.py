@@ -4,10 +4,15 @@ The LP's consistency constraints key each region by its own interval on a
 shared attribute. That is exact only if every such interval is one cell of
 the grid cut at the CCs' constants on that attribute, in both partitioning
 modes; this module checks it on every view of both workloads.
+
+CCs come from query-ordered plans (each AQP's own table order), achieved
+counts from set-ordered plans (:func:`repro.core.workload.join_order`).
+Re-measuring every CC on the client database it was derived from checks
+that both choose the same FK edges on the real schemas.
 """
 import pytest
 
-from repro.core import preprocess, workload
+from repro.core import metrics, preprocess, workload
 from repro.core.lp import formulate_view
 from repro.job import generator as job_generator
 from repro.job.schema import job_schema
@@ -23,13 +28,27 @@ SUBSTRATES = {
 
 
 @pytest.fixture(scope="module", params=sorted(SUBSTRATES))
-def plans(request):
+def client(request):
+    """(schema, client DB, CCs derived on it)"""
     make_schema, make_db, make_queries = SUBSTRATES[request.param]
     schema = make_schema()
     db = make_db(0.01)
     raw = workload.derive_ccs_pandas(schema, db, make_queries())
     raw = workload.base_size_ccs(schema, {r: len(df) for r, df in db.items()}, raw)
-    return preprocess.plan_views(schema, preprocess.rewrite_ccs(schema, raw))
+    return schema, db, preprocess.rewrite_ccs(schema, raw)
+
+
+@pytest.fixture(scope="module")
+def plans(client):
+    schema, _, ccs = client
+    return preprocess.plan_views(schema, ccs)
+
+
+def test_client_db_witnesses_every_cc(client):
+    schema, db, ccs = client
+    errs = metrics.achieved_counts_pandas(schema, db, ccs)
+    assert [e.achieved for e in errs] == [cc.count for cc in ccs]
+    assert any(len(cc.tables) > 2 for cc in ccs)
 
 
 def boundary_cells(plan) -> dict[str, set[tuple[int, int]]]:

@@ -1,13 +1,13 @@
-"""Dynamic tuple generation on Spark (§6) — the datagen scan substitute."""
-import numpy as np
+"""Dynamic tuple generation on Spark (§6) — the datagen scan substitute —
+and static materialization to parquet."""
 import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
 from repro.core.hydra import regenerate
+from repro.core.materialize import materialize_relation, scan_parquet
 from repro.core.preprocess import rewrite_ccs
 from repro.core.tuplegen import (
-    database_to_pandas,
     generate_relation,
     relation_schema,
     relation_to_pandas,
@@ -114,6 +114,18 @@ class TestGenerateRelation:
             a.sort_values("t_pk").reset_index(drop=True),
             b.sort_values("t_pk").reset_index(drop=True),
         )
+
+
+@pytest.mark.spark
+class TestMaterialize:
+    def test_parquet_round_trip_equals_driver_decode(self, spark, hydra_result, tmp_path):
+        sch, ccs, res = hydra_result
+        for rel in ("r", "s", "t"):
+            path = materialize_relation(spark, sch, res.summary, rel, tmp_path)
+            pk = sch[rel].pk
+            got = scan_parquet(spark, path).toPandas().sort_values(pk).reset_index(drop=True)
+            expect = relation_to_pandas(sch, res.summary, rel)
+            pd.testing.assert_frame_equal(got, expect, check_dtype=False)
 
 
 class TestRelationSchema:

@@ -1,14 +1,15 @@
-"""AQP/CC derivation tests — pandas fast path vs Spark engine path."""
-import pandas as pd
+"""Join planner and AQP/CC derivation tests — pandas vs Spark executor."""
 import pytest
 
 from repro.core.constraints import Predicate
-from repro.core.preprocess import rewrite_ccs
 from repro.core.workload import (
     QuerySpec,
     base_size_ccs,
     derive_ccs_pandas,
     derive_ccs_spark,
+    join_edges,
+    join_order,
+    spark_joins,
 )
 from repro.oracle import assert_equivalent
 
@@ -36,6 +37,37 @@ class TestQuerySpecValidation:
         sch, _ = client
         for q in toy_queries():
             q.validate(sch)
+
+    def test_repeated_relation_rejected(self, client):
+        sch, _ = client
+        q = QuerySpec(tables=("r", "s", "s"), filters=(("s", Predicate.of(a=(20, 60))),))
+        with pytest.raises(ValueError):
+            q.validate(sch)
+
+
+class TestJoinPlanner:
+    def test_join_order_is_root_first(self, client):
+        sch, _ = client
+        assert join_order(sch, {"t", "s", "r"}) == ("r", "s", "t")
+        assert join_order(sch, {"t", "r"}) == ("r", "t")
+        assert join_order(sch, {"s"}) == ("s",)
+
+    def test_join_order_rejects_set_without_fk_path(self, client):
+        sch, _ = client
+        with pytest.raises(ValueError):
+            join_order(sch, {"s", "t"})
+
+    def test_join_edges_follow_fks(self, client):
+        sch, _ = client
+        assert join_edges(sch, ("r", "s", "t")) == [("s_fk", "s"), ("t_fk", "t")]
+        assert join_edges(sch, ("r",)) == []
+
+    def test_join_edges_reject_unreachable_relation(self, client):
+        sch, _ = client
+        with pytest.raises(ValueError):
+            join_edges(sch, ("s", "r"))
+        with pytest.raises(ValueError):
+            join_edges(sch, ("r", "s", "t", "s"))
 
 
 class TestDeriveCCsPandas:
@@ -108,10 +140,10 @@ class TestSparkParity:
         sch, tables = client
         sdf = {k: spark.createDataFrame(v) for k, v in tables.items()}
         q = toy_queries()[0]
-        from repro.core.workload import _join_spark, _prefix_predicate
-
-        joined = _join_spark(sch, sdf, q.tables)
-        pred = _prefix_predicate(q, q.tables)
+        *_, joined = spark_joins(sch, sdf, q.tables)
+        pred = Predicate.true()
+        for t in q.tables:
+            pred = pred.conjoin(q.filter_of(t))
         got = joined.filter(F.expr(pred.to_sql())).agg(
             F.count("*").alias("n")
         )
