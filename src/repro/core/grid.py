@@ -14,15 +14,18 @@ Two entry points mirror how the paper uses the construction:
   regions for LPs small enough to solve (the WLs path), raising
   :class:`GridTooLarge` above a cap to emulate the solver crash. Shared
   attributes are cut at the LP's consistency boundaries as well, so each
-  cell is keyed by its own interval there, as HYDRA's regions are.
+  cell is keyed by its own interval there, as HYDRA's regions are. Cells
+  are enumerated and labelled on arrays and returned in the same columnar
+  :class:`~repro.core.regions.Regions` container as HYDRA's regions.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .constraints import CC, Interval, sub_constraints
-from .regions import Region
+from .regions import Regions
 
 #: Above this many cells the LP is declared unsolvable, standing in for the
 #: paper's observed Z3 crash on multi-billion-variable formulations.
@@ -71,6 +74,17 @@ def grid_variable_count(
     return n
 
 
+def _label_rows(sat: np.ndarray) -> tuple[np.ndarray, list[frozenset[int]]]:
+    """Label ids and distinct labels of the rows of an n × k boolean matrix,
+    row *i*'s label being the set of its True columns."""
+    if sat.shape[1] == 0:
+        return np.zeros(len(sat), dtype=np.int64), [frozenset()]
+    packed = np.packbits(sat, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    return ids.ravel(), [frozenset(np.flatnonzero(sat[i]).tolist()) for i in first]
+
+
 def grid_partition(
     attrs: Sequence[str],
     domain: Mapping[str, Interval],
@@ -79,30 +93,34 @@ def grid_partition(
     boundaries: Mapping[str, Sequence[int]],
     *,
     cell_cap: int = DEFAULT_CELL_CAP,
-) -> list[Region]:
+) -> Regions:
     """Materialize the grid as single-box labelled regions.
 
     Each shared attribute is also cut at ``boundaries[a]``, the CC
     boundaries the LP's consistency constraints equate marginals on, so
     every cell's interval on a shared attribute is exactly one boundary
-    cell. The cap applies to the unrefined ``∏ ℓᵢ``. Returned regions are
+    cell. The cap applies to the unrefined ``∏ ℓᵢ``. Cells come in
+    ``itertools.product`` order of the per-attribute intervals, each
+    labelled with the CCs whose predicate contains it. Returned regions are
     interchangeable with HYDRA's in the LP builder — the formulation
     differs only in how many variables it takes to express the same CCs.
     """
     n_cells = grid_variable_count(attrs, domain, ccs)
     if n_cells > cell_cap:
         raise GridTooLarge(n_cells, cell_cap)
-    per_attr = []
+    cuts = []
     for a in attrs:
         points = _cut_points(a, domain[a], ccs)
         if a in shared:
             points |= set(boundaries[a])
-        per_attr.append(_intervals(points))
-    regions = []
-    for combo in itertools.product(*per_attr):
-        box = dict(zip(attrs, combo))
-        label = frozenset(
-            i for i, cc in enumerate(ccs) if cc.predicate.matches_box(box)
-        )
-        regions.append(Region(box, label))
-    return regions
+        cuts.append(np.array(sorted(points), dtype=np.int64))
+    # Per attribute, each cell's interval number; the last attribute varies
+    # fastest, as in itertools.product.
+    cell = np.indices([len(c) - 1 for c in cuts]).reshape(len(attrs), -1)
+    los = np.stack([c[:-1][k] for c, k in zip(cuts, cell)], axis=1)
+    his = np.stack([c[1:][k] for c, k in zip(cuts, cell)], axis=1)
+    sat = np.zeros((len(los), len(ccs)), dtype=bool)
+    for j, cc in enumerate(ccs):
+        sat[:, j] = cc.predicate.box_mask(attrs, los, his)
+    label_ids, labels = _label_rows(sat)
+    return Regions(attrs, los, his, label_ids, labels)

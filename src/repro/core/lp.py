@@ -17,6 +17,13 @@ then contains (Figure 7):
   equated cell by cell, keyed by each region's own shared-attribute
   interval.
 
+The rows are built from the partitions' arrays (:class:`~repro.core.regions.Regions`):
+a CC's row takes the regions whose label id is one of the labels holding the
+CC, and a consistency row groups the regions by their shared-attribute
+``(lo, hi)`` columns. :class:`~repro.core.regions.Region` objects are built
+only for a solution's nonzero entries. Every non-TRUE CC must fit in some
+sub-view; :func:`formulate_view` raises otherwise.
+
 CCs arriving from executed AQPs always admit the client data itself as a
 witness, so these LPs are feasible by construction; the solver returns one
 feasible point which, rounded, becomes the NumTuples assignment.
@@ -30,8 +37,8 @@ import numpy as np
 
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
-from .regions import Region, partition_lp_regions
-from .solver import LinearSystem, round_solution, solve_feasible
+from .regions import Region, Regions, partition_lp_regions
+from .solver import LinearSystem, Terms, round_solution, solve_feasible
 
 
 @dataclass
@@ -39,7 +46,7 @@ class SubViewFormulation:
     """One sub-view's partition and its slice of the LP variable vector."""
 
     attrs: tuple[str, ...]
-    regions: list[Region]
+    regions: Regions
     ccs: list[int]  # indices into the view's CC list that this sub-view encodes
     offset: int = 0
 
@@ -67,21 +74,33 @@ class ViewFormulation:
 
     def subview_solution(self, s: SubViewFormulation) -> list[tuple[Region, int]]:
         assert self.solution is not None
-        out = []
-        for i, r in enumerate(s.regions):
-            c = int(self.solution[s.offset + i])
-            if c > 0:
-                out.append((r, c))
-        return out
+        x = self.solution[s.offset : s.offset + s.n_vars]
+        return [(s.regions[i], int(x[i])) for i in np.flatnonzero(x > 0).tolist()]
 
 
-def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, list[int]]:
+def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, np.ndarray]:
     """Variables of ``s`` by their region's interval on each attribute of
-    ``common`` — one shared-attribute boundary cell per region."""
-    cells: dict[tuple, list[int]] = {}
-    for i, r in enumerate(s.regions):
-        key = tuple((r.box[a].lo, r.box[a].hi) for a in common)
-        cells.setdefault(key, []).append(s.offset + i)
+    ``common`` — one shared-attribute boundary cell per region.
+
+    Keys are ``((lo, hi), …)`` tuples of Python ints, inserted in the order
+    the cells first appear among the regions, and each cell's variables are
+    ascending: the consistency rows' order and terms follow from both.
+    """
+    r = s.regions
+    cols = [r.attrs.index(a) for a in common]
+    key = np.concatenate([r.los[:, cols], r.his[:, cols]], axis=1)
+    order = np.lexsort(key.T[::-1])  # stable: members stay ascending
+    ks = key[order]
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = (ks[1:] != ks[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_cell)
+    members = np.split(order, starts[1:])
+    firsts = order[starts]
+    cells: dict[tuple, np.ndarray] = {}
+    for g in np.argsort(firsts).tolist():
+        i = firsts[g]
+        cell = tuple((int(r.los[i, c]), int(r.his[i, c])) for c in cols)
+        cells[cell] = s.offset + members[g]
     return cells
 
 
@@ -112,6 +131,13 @@ def formulate_view(
                 if cc.predicate.attrs <= set(sv) and not cc.predicate.is_true
             ]
         )
+    encoded = set().union(*sv_cc_idx)
+    for i, cc in enumerate(plan.ccs):
+        if not cc.predicate.is_true and i not in encoded:
+            raise ValueError(
+                f"view {plan.view}: CC {i} on {sorted(cc.predicate.attrs)} "
+                "fits in no sub-view, so the LP cannot encode it"
+            )
     attr_count: dict[str, int] = {}
     for sv in plan.subviews:
         for a in sv:
@@ -145,11 +171,9 @@ def formulate_view(
         else:
             kwargs = {} if grid_cell_cap is None else {"cell_cap": grid_cell_cap}
             regions = grid_partition(sv, domain, cc_objs, sh, boundaries, **kwargs)
-        # Partitioning labels regions with indices into cc_objs; remap them
+        # Partitioning labels regions with indices into cc_objs; rename them
         # to indices into the view's full CC list.
-        regions = [
-            Region(r.box, frozenset(sv_ccs[i] for i in r.label)) for r in regions
-        ]
+        regions = regions.relabel(sv_ccs)
         sub_forms.append(SubViewFormulation(attrs=sv, regions=regions, ccs=sv_ccs))
 
     # 3. Assign variable offsets.
@@ -161,13 +185,11 @@ def formulate_view(
     # 4. Constraints.
     system = LinearSystem(n_vars=off)
     for s in sub_forms:
-        system.add_sum(list(range(s.offset, s.offset + s.n_vars)), plan.total)
+        system.add_sum(np.arange(s.offset, s.offset + s.n_vars), plan.total)
+        labels = s.regions.labels
         for cc_idx in s.ccs:
-            idxs = [
-                s.offset + i
-                for i, r in enumerate(s.regions)
-                if cc_idx in r.label
-            ]
+            has_cc = np.fromiter((cc_idx in lb for lb in labels), dtype=bool, count=len(labels))
+            idxs = s.offset + np.flatnonzero(has_cc[s.regions.label_ids])
             system.add_sum(idxs, plan.ccs[cc_idx].count)
 
     # Pairwise marginal equality on shared attributes.
@@ -177,10 +199,11 @@ def formulate_view(
             continue
         cells1 = _cells(s1, common)
         cells2 = _cells(s2, common)
+        empty = np.zeros(0, dtype=np.int64)
         for cell in set(cells1) | set(cells2):
-            terms = [(i, 1.0) for i in cells1.get(cell, [])]
-            terms += [(i, -1.0) for i in cells2.get(cell, [])]
-            system.add(terms, 0.0)
+            left, right = cells1.get(cell, empty), cells2.get(cell, empty)
+            coef = np.concatenate([np.ones(len(left)), -np.ones(len(right))])
+            system.add(Terms(np.concatenate([left, right]), coef), 0.0)
 
     return ViewFormulation(
         view=plan.view,

@@ -17,11 +17,18 @@ on that box (§5.2's deterministic choice). :func:`partition_lp_regions`
 first cuts the label classes at the shared attributes' CC boundaries, so a
 region's interval on a shared attribute is exactly one boundary cell; the
 LP's consistency constraints key on that interval.
+
+Regions stay columnar from the partitioner to the LP: :class:`Regions`
+holds every region's box as a row of int64 ``los``/``his`` arrays and its
+label as an id into a list of the distinct labels. The LP builder reads the
+arrays; a :class:`Region` object is built only where one is read (indexing
+or iterating a :class:`Regions`), e.g. for the nonzero entries of a solution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Sequence as SequenceABC
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +52,63 @@ class Region:
 
     box: Box
     label: frozenset[int]
+
+
+class Regions(SequenceABC):
+    """A sub-view's regions as arrays: a read-only sequence of :class:`Region`.
+
+    Row *i* of the int64 ``los``/``his`` arrays (n × d, columns in ``attrs``
+    order) is region *i*'s box, and ``labels[label_ids[i]]`` its label.
+    ``labels`` holds each distinct label once. Indexing and iteration build
+    the :class:`Region` objects on access.
+    """
+
+    def __init__(
+        self,
+        attrs: Sequence[str],
+        los: np.ndarray,
+        his: np.ndarray,
+        label_ids: np.ndarray,
+        labels: Iterable[frozenset[int]],
+    ):
+        self.attrs = tuple(attrs)
+        self.los = los
+        self.his = his
+        self.label_ids = label_ids
+        self.labels = list(labels)
+
+    def __len__(self) -> int:
+        return len(self.label_ids)
+
+    def _region(self, i: int) -> Region:
+        lo, hi = self.los[i].tolist(), self.his[i].tolist()
+        box = {a: Interval(l, h) for a, l, h in zip(self.attrs, lo, hi)}
+        return Region(box, self.labels[self.label_ids[i]])
+
+    def __getitem__(self, i: int) -> Region:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"region index {i} out of range for {n} regions")
+        return self._region(i % n)
+
+    def __iter__(self) -> Iterator[Region]:
+        return map(self._region, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Regions):
+            return NotImplemented
+        return (
+            self.attrs == other.attrs
+            and np.array_equal(self.los, other.los)
+            and np.array_equal(self.his, other.his)
+            and [self.labels[i] for i in self.label_ids.tolist()]
+            == [other.labels[i] for i in other.label_ids.tolist()]
+        )
+
+    def relabel(self, names: Sequence[int]) -> "Regions":
+        """The same boxes, with each CC index ``j`` of a label renamed ``names[j]``."""
+        labels = [frozenset(names[j] for j in lb) for lb in self.labels]
+        return Regions(self.attrs, self.los, self.his, self.label_ids, labels)
 
 
 def _cut(los, his, extra, dim, p, where=True):
@@ -180,7 +244,7 @@ def partition_lp_regions(
     ccs: Sequence[CC],
     shared: Sequence[str],
     boundaries: Mapping[str, Sequence[int]],
-) -> list[Region]:
+) -> Regions:
     """The LP's regions: one per (CC label × shared-attribute boundary cell).
 
     The boxes of :func:`label_partition` are cut at ``boundaries[a]`` for
@@ -188,32 +252,32 @@ def partition_lp_regions(
     ``ccs`` on ``a`` inside the domain (the LP builder passes the constants
     of all sub-views' CCs), so each cut box's interval on ``a`` is exactly
     one boundary cell, named by its low end. Each region keeps only its
-    lexicographically first box, sorted by :func:`box_key`.
+    lexicographically first box; regions are ordered by their boxes' lows
+    in ``attrs`` order (:func:`box_key`).
     """
     los, his, labels = label_partition(attrs, domain, ccs)
-    label_ids: dict[frozenset[int], int] = {}
+    label_index: dict[frozenset[int], int] = {}
     lab = np.fromiter(
-        (label_ids.setdefault(lb, len(label_ids)) for lb in labels),
+        (label_index.setdefault(lb, len(label_index)) for lb in labels),
         dtype=np.int64,
         count=len(labels),
     )
-    label_list = list(label_ids)
     for a in shared:
         di = attrs.index(a)
         for p in sorted(boundaries[a]):
             los, his, (lab,) = _cut(los, his, (lab,), di, p)
 
-    key = np.stack([lab] + [los[:, attrs.index(a)] for a in shared], axis=1)
-    # Lexicographic order of boxes so each group's first row is its minimum.
-    dims = range(len(attrs) - 1, -1, -1)
-    order = np.lexsort(tuple(his[:, d] for d in dims) + tuple(los[:, d] for d in dims))
-    _, first_idx = np.unique(key[order], axis=0, return_index=True)
-    out = [
-        Region(
-            {a: Interval(int(los[i, d]), int(his[i, d])) for d, a in enumerate(attrs)},
-            label_list[lab[i]],
-        )
-        for i in order[first_idx]
-    ]
-    out.sort(key=lambda r: box_key(r.box, attrs))
-    return out
+    # The boxes tile the domain, so no two share their lows: sorting by
+    # (label, shared cells, lows) puts each region's lexicographically
+    # first box at the start of its run.
+    lows = tuple(los[:, d] for d in range(len(attrs) - 1, -1, -1))
+    key = [lab] + [los[:, attrs.index(a)] for a in shared]
+    order = np.lexsort(lows + tuple(reversed(key)))
+    new_run = np.zeros(len(order), dtype=bool)
+    new_run[:1] = True
+    for k in key:
+        ks = k[order]
+        new_run[1:] |= ks[1:] != ks[:-1]
+    first = order[new_run]
+    first = first[np.lexsort(tuple(lo[first] for lo in lows))]
+    return Regions(attrs, los[first], his[first], lab[first], label_index)

@@ -15,11 +15,15 @@ basic feasible solution is verified against the constraints and rounded
 (basic solutions of these network-like systems are integral in practice —
 any residual after rounding is *measured* by the metrics module, mirroring
 the paper's own error reporting, never silently ignored).
+
+:class:`LinearSystem` keeps each row sparse, as an index array and a
+coefficient array. A solve builds the dense matrix once, for the tableau;
+the residual check reads the sparse rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,35 +33,71 @@ _STALL_LIMIT = 64
 _TOL = 1e-7
 
 
+class Terms:
+    """One row's nonzeros as parallel arrays: int64 ``index`` and float
+    ``coef``. Iterates as ``(index, coef)`` pairs of Python numbers."""
+
+    __slots__ = ("index", "coef")
+
+    def __init__(self, index: np.ndarray, coef: np.ndarray):
+        self.index = index
+        self.coef = coef
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self.index.tolist(), self.coef.tolist())
+
+
 @dataclass
 class LinearSystem:
-    """``A x = b`` with x >= 0, rows held sparsely as (index, coef) lists."""
+    """``A x = b`` with x >= 0, rows held sparsely as (:class:`Terms`, rhs)."""
 
     n_vars: int
-    rows: list[tuple[list[tuple[int, float]], float]] = field(default_factory=list)
+    rows: list[tuple[Terms, float]] = field(default_factory=list)
 
-    def add(self, terms: Sequence[tuple[int, float]], rhs: float) -> None:
-        for i, _ in terms:
-            if not (0 <= i < self.n_vars):
-                raise IndexError(f"variable index {i} out of range")
-        self.rows.append((list(terms), float(rhs)))
+    def add(self, terms: Terms | Sequence[tuple[int, float]], rhs: float) -> None:
+        """Append the row ``sum(c * x[i] for i, c in terms) = rhs``."""
+        if not isinstance(terms, Terms):
+            pairs = list(terms)
+            terms = Terms(
+                np.array([i for i, _ in pairs], dtype=np.int64),
+                np.array([c for _, c in pairs], dtype=np.float64),
+            )
+        idx = terms.index
+        if len(idx) and (idx.min() < 0 or idx.max() >= self.n_vars):
+            bad = idx[(idx < 0) | (idx >= self.n_vars)][0]
+            raise IndexError(f"variable index {bad} out of range")
+        self.rows.append((terms, float(rhs)))
 
-    def add_sum(self, indices: Sequence[int], rhs: float) -> None:
+    def add_sum(self, indices: Sequence[int] | np.ndarray, rhs: float) -> None:
         """Convenience for the common ``sum of region vars = k`` row."""
-        self.add([(i, 1.0) for i in indices], rhs)
+        idx = np.asarray(indices, dtype=np.int64)
+        self.add(Terms(idx, np.ones(len(idx))), rhs)
+
+    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero as (row, index, coef) arrays, rows in order."""
+        lengths = [len(t) for t, _ in self.rows]
+        row = np.repeat(np.arange(len(self.rows)), lengths)
+        idx = np.concatenate([t.index for t, _ in self.rows] + [np.zeros(0, np.int64)])
+        coef = np.concatenate([t.coef for t, _ in self.rows] + [np.zeros(0)])
+        return row, idx, coef
+
+    def _rhs(self) -> np.ndarray:
+        return np.array([rhs for _, rhs in self.rows], dtype=np.float64)
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, b)`` as dense arrays; a repeated index within a row adds up."""
         A = np.zeros((len(self.rows), self.n_vars))
-        b = np.zeros(len(self.rows))
-        for r, (terms, rhs) in enumerate(self.rows):
-            for i, c in terms:
-                A[r, i] += c
-            b[r] = rhs
-        return A, b
+        row, idx, coef = self._coo()
+        np.add.at(A, (row, idx), coef)
+        return A, self._rhs()
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        A, b = self.dense()
-        return A @ x - b
+        """``A x - b``, computed from the sparse rows."""
+        row, idx, coef = self._coo()
+        return np.bincount(row, weights=coef * x[idx], minlength=len(self.rows)) - self._rhs()
 
 
 class Infeasible(RuntimeError):
@@ -88,6 +128,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     # Objective row: reduced costs for minimizing sum of artificials.
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
+    del A  # the tableau holds it now; the residual check reads the sparse rows
     basis = list(range(n, n + m))
 
     stall = 0

@@ -1,14 +1,16 @@
 """Grid-partitioning (DataSynth baseline) tests — Figure 3a's 16 cells."""
+import itertools
+
 import pytest
 
-from repro.core.constraints import CC, Interval, Predicate, total_cc
+from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
 from repro.core.grid import (
     GridTooLarge,
     attribute_intervals,
     grid_partition,
     grid_variable_count,
 )
-from repro.core.regions import label_partition, partition_lp_regions
+from repro.core.regions import Regions, label_partition, partition_lp_regions
 
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
 
@@ -109,3 +111,28 @@ class TestGridPartition:
         with pytest.raises(GridTooLarge) as exc:
             grid_partition(attrs, domain, ccs, (), {}, cell_cap=100)
         assert exc.value.n_cells == 1024
+
+    def test_cells_in_product_order_labelled_per_box(self):
+        """The array build equals the per-cell definition: the product of
+        the per-attribute intervals, in ``itertools.product`` order, each
+        cell labelled by ``matches_box``."""
+        dnf = Predicate((Conjunct.of(age=(0, 30), salary=(50, 100)), Conjunct.of(age=(70, 100))))
+        ccs = person_ccs() + [CC("person", dnf, 7), CC("person", Predicate.of(salary=(10, 90)), 9)]
+        attrs = ("age", "salary")
+        cells = grid_partition(attrs, PERSON_DOMAIN, ccs, ("age",), {"age": [20, 45]})
+        assert isinstance(cells, Regions)
+        per_attr = [attribute_intervals(a, PERSON_DOMAIN[a], ccs) for a in attrs]
+        age_cuts = sorted({iv.lo for iv in per_attr[0]} | {20, 45, 100})
+        per_attr[0] = [Interval(lo, hi) for lo, hi in zip(age_cuts, age_cuts[1:])]
+        expected = []
+        for combo in itertools.product(*per_attr):
+            box = dict(zip(attrs, combo))
+            expected.append(
+                (box, frozenset(i for i, cc in enumerate(ccs) if cc.predicate.matches_box(box)))
+            )
+        assert [(c.box, c.label) for c in cells] == expected
+        assert len({lab for _, lab in expected}) == len(cells.labels)
+
+    def test_no_ccs_one_empty_label(self):
+        cells = grid_partition(("age",), PERSON_DOMAIN, [], (), {})
+        assert [(c.box, c.label) for c in cells] == [({"age": Interval(0, 100)}, frozenset())]

@@ -131,6 +131,25 @@ class TestConsistencyAcrossSubviews:
                 assert got == form.plan.ccs[cc_idx].count
 
 
+    def test_subview_solution_is_nonzero_regions(self):
+        form = solve_view(formulate_view(self._plan(), mode="region"))
+        x = form.solution
+        for s in form.subviews:
+            expected = [
+                (r, int(x[s.offset + i])) for i, r in enumerate(s.regions) if x[s.offset + i] > 0
+            ]
+            assert expected and form.subview_solution(s) == expected
+
+    @pytest.mark.parametrize("mode", ["region", "grid"])
+    def test_cc_fitting_no_subview_raises(self, mode):
+        """A CC on (a, c) spans both sub-views but fits in neither: the LP
+        cannot encode it, so formulation fails instead of dropping it."""
+        plan = self._plan()
+        plan.ccs.append(CC("v", Predicate.of(a=(0, 50), c=(0, 5)), 100))
+        with pytest.raises(ValueError, match="fits in no sub-view"):
+            formulate_view(plan, mode=mode)
+
+
 class TestToySchemaFormulation:
     def test_all_views_solvable_from_derived_ccs(self):
         sch = toy_schema()

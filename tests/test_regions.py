@@ -6,10 +6,12 @@ Figure 4b shape.
 """
 import itertools
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
-from repro.core.regions import label_partition, partition_lp_regions
+from repro.core.regions import Region, Regions, label_partition, partition_lp_regions
 
 
 def person_ccs():
@@ -277,3 +279,94 @@ class TestConsistencyRefinement:
         label_only = partition_lp_regions(("a", "b"), domain, ccs, (), {})
         assert len(regions) > len(label_only)
         assert {r.label for r in regions} == {r.label for r in label_only}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=domain_and_ccs(), extra=st.integers(0, 8))
+def test_lp_regions_are_first_boxes_of_label_cell_classes(case, extra):
+    """Property, checked point by point: cutting at the CC constants on a
+    shared attribute, there is one region per (point label, shared cell)
+    class, carried by the class's lexicographically first point, and the
+    regions come in the lexicographic order of their boxes' lows."""
+    domain, ccs = case
+    attrs = ("a", "b")
+    dom = domain["a"]
+    bounds = {extra} | {
+        p for cc in ccs for c in cc.predicate.conjuncts for a, iv in c.restrictions
+        if a == "a" for p in (iv.lo, iv.hi)
+    }
+    bounds = sorted(p for p in bounds if dom.lo < p < dom.hi)
+    cuts = [dom.lo] + bounds + [dom.hi]
+    first = {}
+    for p in itertools.product(range(dom.hi), range(domain["b"].hi)):  # lexicographic
+        point = dict(zip(attrs, p))
+        lab = frozenset(i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point))
+        cell = next((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo <= p[0] < hi)
+        first.setdefault((lab, cell), p)
+    regions = partition_lp_regions(attrs, domain, ccs, ("a",), {"a": bounds})
+    got = [
+        (r.label, (r.box["a"].lo, r.box["a"].hi), (r.box["a"].lo, r.box["b"].lo))
+        for r in regions
+    ]
+    assert sorted(got, key=lambda g: g[2]) == got
+    assert len({g[2] for g in got}) == len(got)
+    assert {(lab, cell): lows for lab, cell, lows in got} == first
+    assert len(got) == len(first)
+
+
+class TestRegionsContainer:
+    def regions(self, bounds=(20, 40, 60)):
+        return partition_lp_regions(
+            PERSON, PERSON_DOMAIN, person_ccs(), ("age",), {"age": list(bounds)}
+        )
+
+    def test_is_a_sequence_of_regions(self):
+        regions = self.regions()
+        assert isinstance(regions, Regions)
+        listed = list(regions)
+        assert len(listed) == len(regions) == len(regions.label_ids)
+        assert all(isinstance(r, Region) for r in listed)
+        for i, r in enumerate(listed):
+            assert regions[i] == r
+            assert r.box == {
+                a: Interval(int(regions.los[i, d]), int(regions.his[i, d]))
+                for d, a in enumerate(PERSON)
+            }
+            assert r.label == regions.labels[regions.label_ids[i]]
+
+    def test_negative_index_and_out_of_range(self):
+        regions = self.regions()
+        n = len(regions)
+        assert regions[-1] == regions[n - 1]
+        assert regions[-n] == regions[0]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                regions[i]
+
+    def test_labels_are_distinct(self):
+        regions = self.regions()
+        assert len(set(regions.labels)) == len(regions.labels)
+        assert set(regions.label_ids.tolist()) == set(range(len(regions.labels)))
+
+    def test_equality_compares_boxes_and_labels(self):
+        regions = self.regions()
+        assert regions == self.regions()
+        assert regions != self.regions(bounds=(20, 40, 60, 80))
+        assert regions != list(regions)
+        # The same per-region labels under another label numbering are equal.
+        order = list(reversed(range(len(regions.labels))))
+        renumbered = Regions(
+            regions.attrs, regions.los, regions.his,
+            np.array([order.index(i) for i in regions.label_ids.tolist()]),
+            [regions.labels[i] for i in order],
+        )
+        assert renumbered == regions
+        assert regions.relabel([5, 6, 7]) != regions
+
+    def test_relabel_renames_cc_indices(self):
+        regions = self.regions()
+        renamed = regions.relabel([10, 11, 12])
+        assert [r.label for r in renamed] == [
+            frozenset(10 + j for j in r.label) for r in regions
+        ]
+        assert [r.box for r in renamed] == [r.box for r in regions]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.solver import Infeasible, LinearSystem, round_solution, solve_feasible
+from repro.core.solver import Infeasible, LinearSystem, Terms, round_solution, solve_feasible
 
 
 def _check(system: LinearSystem, x: np.ndarray) -> None:
@@ -99,6 +99,45 @@ class TestSolveFeasible:
         s = LinearSystem(2)
         with pytest.raises(IndexError):
             s.add_sum([0, 5], 1)
+
+
+class TestLinearSystem:
+    def test_dense_accumulates_repeated_index(self):
+        s = LinearSystem(3)
+        s.add([(0, 1.0), (2, -1.0), (0, 1.0), (0, 0.5)], 4)
+        s.add_sum(np.array([1, 1]), 2)
+        A, b = s.dense()
+        assert A.tolist() == [[2.5, 0.0, -1.0], [0.0, 2.0, 0.0]]
+        assert b.tolist() == [4.0, 2.0]
+
+    def test_rows_iterate_as_index_coef_pairs(self):
+        s = LinearSystem(4)
+        s.add(Terms(np.array([3, 1]), np.array([1.0, -1.0])), 0)
+        s.add_sum([], 0)
+        (terms, rhs), (empty, _) = s.rows
+        assert len(terms) == 2 and terms and not empty
+        assert list(terms) == [(3, 1.0), (1, -1.0)]
+        idx, coef = zip(*terms)
+        assert idx == (3, 1) and coef == (1.0, -1.0)
+        assert rhs == 0.0
+
+    def test_residuals_equal_dense_product(self):
+        rng = np.random.default_rng(3)
+        s = LinearSystem(6)
+        for _ in range(4):
+            idx = rng.integers(0, 6, 5)
+            s.add(Terms(idx, rng.choice([-1.0, 1.0], 5)), float(rng.integers(0, 9)))
+        x = rng.integers(0, 5, 6).astype(float)
+        A, b = s.dense()
+        assert np.array_equal(s.residuals(x), A @ x - b)
+
+    def test_array_index_out_of_range_rejected(self):
+        s = LinearSystem(2)
+        with pytest.raises(IndexError):
+            s.add_sum(np.array([0, 2]), 1)
+        with pytest.raises(IndexError):
+            s.add(Terms(np.array([-1]), np.array([1.0])), 1)
+        assert s.rows == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,13 +3,17 @@
 The LP's consistency constraints key each region by its own interval on a
 shared attribute. That is exact only if every such interval is one cell of
 the grid cut at the CCs' constants on that attribute, in both partitioning
-modes; this module checks it on every view of both workloads.
+modes; this module checks it on every view of both workloads. It also
+rebuilds every view's LP rows from the per-region definition and pins them,
+in order, to the rows the LP builder makes from the region arrays.
 
 CCs come from query-ordered plans (each AQP's own table order), achieved
 counts from set-ordered plans (:func:`repro.core.workload.join_order`).
 Re-measuring every CC on the client database it was derived from checks
 that both choose the same FK edges on the real schemas.
 """
+import itertools
+
 import pytest
 
 from repro.core import metrics, preprocess, workload
@@ -82,3 +86,49 @@ def test_shared_intervals_are_boundary_cells(plans, mode):
                 assert intervals <= cells[a], (plan.view, s.attrs, a)
                 n_checked += len(intervals)
     assert n_checked > 0
+
+
+def oracle_rows(form) -> list[tuple[list[tuple[int, float]], float]]:
+    """A view's LP rows from the per-region definition, iterating regions:
+    per sub-view its sum row, then a row per CC over the regions whose label
+    holds it; then per sub-view pair one consistency row per shared cell,
+    in ``set(cells1) | set(cells2)`` order of the nested-tuple cell keys."""
+    plan = form.plan
+    rows = []
+    for s in form.subviews:
+        regions = list(s.regions)
+        rows.append(([(s.offset + i, 1.0) for i in range(len(regions))], float(plan.total)))
+        for cc_idx in s.ccs:
+            terms = [(s.offset + i, 1.0) for i, r in enumerate(regions) if cc_idx in r.label]
+            rows.append((terms, float(plan.ccs[cc_idx].count)))
+
+    def cells(s, common):
+        out = {}
+        for i, r in enumerate(s.regions):
+            key = tuple((r.box[a].lo, r.box[a].hi) for a in common)
+            out.setdefault(key, []).append(s.offset + i)
+        return out
+
+    for s1, s2 in itertools.combinations(form.subviews, 2):
+        common = tuple(a for a in s1.attrs if a in s2.attrs)
+        if not common:
+            continue
+        cells1, cells2 = cells(s1, common), cells(s2, common)
+        for cell in set(cells1) | set(cells2):
+            terms = [(i, 1.0) for i in cells1.get(cell, [])]
+            terms += [(i, -1.0) for i in cells2.get(cell, [])]
+            rows.append((terms, 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["region", "grid"])
+def test_lp_rows_equal_per_region_oracle(plans, mode):
+    """Same rows, terms and order as the oracle, so the simplex takes the
+    same path whatever the builder's data layout."""
+    n_consistency = 0
+    for plan in plans.values():
+        form = formulate_view(plan, mode=mode)
+        expected = oracle_rows(form)
+        assert [(list(t), rhs) for t, rhs in form.system.rows] == expected, plan.view
+        n_consistency += sum(1 for t, rhs in expected if any(c < 0 for _, c in t))
+    assert n_consistency > 0
