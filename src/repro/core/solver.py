@@ -159,8 +159,8 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         r = int(min(cand, key=lambda i: basis[i]))
         piv = T[r, j]
         T[r] /= piv
-        for i in range(m + 1):
-            if i != r and abs(T[i, j]) > 1e-12:
+        for i in np.flatnonzero(np.abs(T[:, j]) > 1e-12):
+            if i != r:
                 T[i] -= T[i, j] * T[r]
         basis[r] = j
         if not bland:

@@ -6,19 +6,21 @@ on-demand from the relation summary instead of being read from disk. Row
 *r* gets PK = *r* and the non-key/FK values of the summary row whose
 cumulative NumTuples first reaches *r*.
 
-Here the same contract is implemented as a ``DataFrame → DataFrame``
-physical-operator substitute: ``spark.range(1, N+1)`` supplies the PK
-stream (partitioned across the cluster), and an Arrow ``mapInPandas``
-stage decodes each PK batch with the vectorized ``searchsorted`` lookup of
-:func:`decoder` over the (shipped-in-the-closure, minuscule) summary
-arrays. :func:`decode_rows` and :func:`relation_to_pandas` run the same
-lookup driver-side. A true JVM scan operator is out of scope for a PySpark
-reproduction (see DESIGN.md); this keeps generation inside Catalyst so
-downstream joins/aggregates in the evaluation run as ordinary Spark SQL.
+Here the same contract is a ``DataFrame`` built entirely inside the JVM.
+Summary row *j* covers the PK range ``(bound[j-1], bound[j]]`` of the
+cumulative counts, so the driver turns the (minuscule, data-scale free)
+summary into a literal table of PK ranges with their values, cut at the
+partition bounds of ``spark.range(1, N + 1, 1, P)``. Each of ``P`` tasks
+takes its slice of that table and expands every range with
+``explode(sequence(lo, hi))``: no Python worker runs, the rows land in the
+partitions ``spark.range`` would give them, and downstream joins and
+aggregates in the evaluation run as ordinary Spark SQL. :func:`decoder`,
+:func:`decode_rows` and :func:`relation_to_pandas` run the same lookup
+driver-side, with a vectorized ``searchsorted``.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -28,12 +30,16 @@ import pyspark.sql.types as T
 from .schema import Schema
 from .summary import DatabaseSummary, RelationSummary
 
+#: Longest PK run one ``sequence`` array holds; longer ranges are expanded
+#: chunk by chunk, so no task builds an array that grows with the data scale.
+_CHUNK = 1 << 20
+
 
 def decoder(summary: RelationSummary) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
     """The §6 lookup of one relation: 1-based PK positions → column arrays.
 
-    ``cumsum(NumTuples)`` is computed once, here; the returned closure holds
-    only numpy arrays, so Spark pickles it by value into its tasks.
+    ``cumsum(NumTuples)`` is computed once, here; the returned closure
+    decodes any batch of PKs against it.
     """
     bounds = np.cumsum(summary.frame["numtuples"].to_numpy())
     values = {c: summary.frame[c].to_numpy() for c in summary.frame.columns if c != "numtuples"}
@@ -64,6 +70,31 @@ def relation_schema(schema: Schema, rel_name: str) -> T.StructType:
     return T.StructType(fields)
 
 
+def _pk_ranges(counts: np.ndarray, num_partitions: int) -> list[list[tuple[int, int, int]]]:
+    """Per partition of ``spark.range(1, N + 1, 1, num_partitions)``, its
+    PK slice cut at the summary rows' cumulative-count bounds: a list of
+    ``(lo, hi, summary row)``, inclusive and ascending.
+
+    Partition *i* holds PKs ``[1 + i·N // P, 1 + (i+1)·N // P)``. Rows
+    with NumTuples 0 give no range, so there are at most (summary rows +
+    P − 1) of them, whatever N is.
+    """
+    rows = np.flatnonzero(counts > 0)
+    his = np.cumsum(counts)[rows]
+    los = his - counts[rows] + 1
+    n = int(his[-1]) if len(rows) else 0
+    out = []
+    for i in range(num_partitions):
+        a, b = 1 + i * n // num_partitions, (i + 1) * n // num_partitions
+        if a > b:
+            out.append([])
+            continue
+        first, last = np.searchsorted(his, a), np.searchsorted(los, b, side="right")
+        out.append([(max(int(los[j]), a), min(int(his[j]), b), int(rows[j]))
+                    for j in range(first, last)])
+    return out
+
+
 def generate_relation(
     spark: SparkSession,
     schema: Schema,
@@ -75,28 +106,32 @@ def generate_relation(
     """The dynamic-generation operator for one relation.
 
     Returns a DataFrame that *is* the relation: scanning it synthesizes
-    tuples from the summary on demand; nothing is read from disk.
+    tuples from the summary on demand; nothing is read from disk. PK *r*
+    lands in the partition ``spark.range(1, N + 1[, 1, num_partitions])``
+    gives it, in the same order.
     """
     summary = db.relations[rel_name]
-    n = summary.total_rows
-    out_schema = relation_schema(schema, rel_name)
-    col_order = [f.name for f in out_schema.fields]
-    pk_name = schema[rel_name].pk
-    # The summary is tiny (data-scale independent); shipping it in the task
-    # closure is the moral equivalent of the engine holding it in memory.
-    lookup = decoder(summary)
+    pk, *values = [f.name for f in relation_schema(schema, rel_name).fields]
+    p = spark.sparkContext.defaultParallelism if num_partitions is None else num_partitions
+    vals = summary.frame[values].to_numpy(np.int64).tolist()
+    names = ["_lo", "_hi", *values]
 
-    def decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for batch in batches:
-            pks = batch["id"].to_numpy()
-            yield pd.DataFrame({pk_name: pks, **lookup(pks)})[col_order]
+    def struct(row) -> str:
+        return "named_struct(" + ", ".join(f"'{c}', {v}L" for c, v in zip(names, row)) + ")"
 
-    rng = (
-        spark.range(1, n + 1)
-        if num_partitions is None
-        else spark.range(1, n + 1, 1, num_partitions)
+    # element type of the empty slices, which `array()` alone would not carry
+    empty = f"slice(array({struct([0] * len(names))}), 1, 0)"
+    parts = [
+        f"array({', '.join(struct((lo, hi, *vals[j])) for lo, hi, j in part)})" if part else empty
+        for part in _pk_ranges(summary.frame["numtuples"].to_numpy(), p)
+    ]
+    cols = [f"`{c}`" for c in values]
+    return (
+        spark.range(0, p, 1, p)
+        .selectExpr(f"inline(element_at(array({', '.join(parts)}), CAST(id + 1 AS INT)))")
+        .selectExpr("_hi", *cols, f"explode(sequence(_lo, _hi, {_CHUNK}L)) AS _c")
+        .selectExpr(f"explode(sequence(_c, least(_c + {_CHUNK - 1}L, _hi))) AS `{pk}`", *cols)
     )
-    return rng.mapInPandas(decode, schema=out_schema)
 
 
 def relation_to_pandas(
@@ -116,4 +151,3 @@ def relation_to_pandas(
 
 def database_to_pandas(schema: Schema, db: DatabaseSummary) -> dict[str, pd.DataFrame]:
     return {r: relation_to_pandas(schema, db, r) for r in db.relations}
-

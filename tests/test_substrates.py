@@ -14,9 +14,10 @@ that both choose the same FK edges on the real schemas.
 """
 import itertools
 
+import pandas as pd
 import pytest
 
-from repro.core import metrics, preprocess, workload
+from repro.core import hydra, metrics, preprocess, tuplegen, workload
 from repro.core.lp import formulate_view
 from repro.job import generator as job_generator
 from repro.job.schema import job_schema
@@ -31,15 +32,19 @@ SUBSTRATES = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(SUBSTRATES))
-def client(request):
-    """(schema, client DB, CCs derived on it)"""
-    make_schema, make_db, make_queries = SUBSTRATES[request.param]
+def derive_client(name: str):
+    """(schema, client DB, CCs derived on it) of one substrate at SF 0.01"""
+    make_schema, make_db, make_queries = SUBSTRATES[name]
     schema = make_schema()
     db = make_db(0.01)
     raw = workload.derive_ccs_pandas(schema, db, make_queries())
     raw = workload.base_size_ccs(schema, {r: len(df) for r, df in db.items()}, raw)
     return schema, db, preprocess.rewrite_ccs(schema, raw)
+
+
+@pytest.fixture(scope="module", params=sorted(SUBSTRATES))
+def client(request):
+    return derive_client(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +137,17 @@ def test_lp_rows_equal_per_region_oracle(plans, mode):
         assert [(list(t), rhs) for t, rhs in form.system.rows] == expected, plan.view
         n_consistency += sum(1 for t, rhs in expected if any(c < 0 for _, c in t))
     assert n_consistency > 0
+
+
+@pytest.mark.spark
+def test_job_lite_x10_generated_equals_driver_decode(spark):
+    """Every JOB-lite relation of the summary regenerated from the CCs ×10,
+    generated on Spark, equals the driver-side decode row for row."""
+    schema, _, ccs = derive_client("job-lite")
+    summary = hydra.regenerate(schema, hydra.scale_ccs(ccs, 10)).summary
+    for rel in summary.relations:
+        pk = schema[rel].pk
+        df = tuplegen.generate_relation(spark, schema, summary, rel)
+        assert df.schema == tuplegen.relation_schema(schema, rel)
+        got = df.toPandas().sort_values(pk).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, tuplegen.relation_to_pandas(schema, summary, rel))

@@ -1,12 +1,16 @@
 """Dynamic tuple generation on Spark (§6) — the datagen scan substitute —
 and static materialization to parquet."""
+import contextlib
+
 import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
+from repro.core import tuplegen
 from repro.core.hydra import regenerate
 from repro.core.materialize import materialize_relation, scan_parquet
 from repro.core.preprocess import rewrite_ccs
+from repro.core.summary import DatabaseSummary, RelationSummary
 from repro.core.tuplegen import (
     generate_relation,
     relation_schema,
@@ -42,8 +46,8 @@ class TestGenerateRelation:
         assert df.count() == res.summary.relations["r"].total_rows
 
     def test_spark_output_equals_driver_decode(self, spark, hydra_result):
-        """The mapInPandas operator must produce exactly the rows the
-        driver-side decoder produces (same summary, same semantics)."""
+        """The Spark operator must produce exactly the rows the driver-side
+        decoder produces (same summary, same semantics)."""
         sch, ccs, res = hydra_result
         got = (
             generate_relation(spark, sch, res.summary, "s")
@@ -114,6 +118,105 @@ class TestGenerateRelation:
             a.sort_values("t_pk").reset_index(drop=True),
             b.sort_values("t_pk").reset_index(drop=True),
         )
+
+
+def sorted_rows(df, pk: str) -> pd.DataFrame:
+    return df.toPandas().sort_values(pk).reset_index(drop=True)
+
+
+def s_summary(rows: list[tuple[int, int, int]]) -> DatabaseSummary:
+    """A hand-made summary of the toy relation ``s``: (a, b, NumTuples) rows."""
+    frame = pd.DataFrame(rows, columns=["a", "b", "numtuples"])
+    return DatabaseSummary(relations={"s": RelationSummary("s", frame)})
+
+
+def plan_classes(plan) -> list[str]:
+    """JVM class names of every node of a physical plan."""
+    out, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        out.append(node.getClass().getName())
+        children = node.children()
+        stack.extend(children.apply(i) for i in range(children.size()))
+    return out
+
+
+@contextlib.contextmanager
+def arrow(spark, enabled: bool):
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    before = spark.conf.get(key)
+    spark.conf.set(key, str(enabled).lower())
+    try:
+        yield
+    finally:
+        spark.conf.set(key, before)
+
+
+@pytest.mark.spark
+class TestRangeTable:
+    """The generator expands a literal table of PK ranges inside the JVM."""
+
+    @pytest.mark.parametrize("arrow_enabled", [True, False])
+    def test_plan_has_no_python_and_exact_schema(self, spark, hydra_result, arrow_enabled):
+        sch, ccs, res = hydra_result
+        with arrow(spark, arrow_enabled):
+            for rel in ("r", "s", "t"):
+                df = generate_relation(spark, sch, res.summary, rel)
+                plan = df._jdf.queryExecution().executedPlan()
+                for node in ("Python", "ArrowEvalPython", "ExistingRDD"):
+                    assert node not in plan.toString(), (rel, node, plan.toString())
+                # MapInPandas prints no "Python": check every node's class too
+                classes = plan_classes(plan)
+                assert "org.apache.spark.sql.execution.RangeExec" in classes
+                assert not [c for c in classes if ".python." in c or "RDDScan" in c], classes
+                assert df.schema == relation_schema(sch, rel)
+                assert df.count() == res.summary.relations[rel].total_rows
+
+    def test_zero_count_row_between_nonzero_rows(self, spark):
+        sch, db = toy_schema(), s_summary([(1, 2, 3), (5, 6, 0), (7, 8, 4)])
+        got = sorted_rows(generate_relation(spark, sch, db, "s"), "s_pk")
+        pd.testing.assert_frame_equal(got, relation_to_pandas(sch, db, "s"))
+        assert 5 not in set(got["a"])
+
+    def test_empty_relation(self, spark):
+        sch, db = toy_schema(), s_summary([(1, 2, 0)])
+        df = generate_relation(spark, sch, db, "s")
+        assert df.schema == relation_schema(sch, "s")
+        assert df.count() == 0
+        assert len(relation_to_pandas(sch, db, "s")) == 0
+
+    def test_more_partitions_than_rows(self, spark):
+        sch, db = toy_schema(), s_summary([(1, 2, 2), (3, 4, 1)])
+        df = generate_relation(spark, sch, db, "s", num_partitions=8)
+        assert df.rdd.getNumPartitions() == 8
+        pd.testing.assert_frame_equal(sorted_rows(df, "s_pk"), relation_to_pandas(sch, db, "s"))
+
+    def test_ranges_longer_than_the_chunk(self, spark, monkeypatch):
+        monkeypatch.setattr(tuplegen, "_CHUNK", 7)
+        rows = [(1, 2, 30), (3, 4, 1), (5, 6, 0), (7, 8, 16)]
+        sch, db = toy_schema(), s_summary(rows)
+        for p in (None, 3):
+            got = sorted_rows(generate_relation(spark, sch, db, "s", num_partitions=p), "s_pk")
+            assert got["s_pk"].tolist() == list(range(1, 48))
+            expect = [(a, b) for a, b, n in rows for _ in range(n)]
+            assert list(zip(got["a"], got["b"])) == expect
+            pd.testing.assert_frame_equal(got, relation_to_pandas(sch, db, "s"))
+
+    @pytest.mark.parametrize("num_partitions", [None, 3])
+    def test_same_partitions_as_spark_range(self, spark, hydra_result, num_partitions):
+        """PK r lands in the partition ``spark.range(1, N + 1[, 1, P])`` gives it."""
+        sch, ccs, res = hydra_result
+        for rel in ("r", "s", "t"):
+            n = res.summary.relations[rel].total_rows
+            rng = spark.range(1, n + 1) if num_partitions is None else spark.range(
+                1, n + 1, 1, num_partitions)
+            df = generate_relation(spark, sch, res.summary, rel, num_partitions=num_partitions)
+            pk = sch[rel].pk
+            got = sorted_rows(df.select(pk, F.spark_partition_id().alias("part")), pk)
+            expect = sorted_rows(rng.select(F.col("id").alias(pk),
+                                            F.spark_partition_id().alias("part")), pk)
+            assert df.rdd.getNumPartitions() == rng.rdd.getNumPartitions()
+            pd.testing.assert_frame_equal(got, expect)
 
 
 @pytest.mark.spark
