@@ -23,6 +23,8 @@ class Timings:
     formulate_s: float = 0.0
     solve_s: float = 0.0
     summary_s: float = 0.0
+    #: view name → (formulate_s, solve_s) of that view
+    views: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def lp_s(self) -> float:
@@ -75,6 +77,7 @@ def regenerate(
         t2 = time.perf_counter()
         timings.formulate_s += t1 - t0
         timings.solve_s += t2 - t1
+        timings.views[view] = (t1 - t0, t2 - t1)
         forms[view] = form
     t0 = time.perf_counter()
     summary = build_database_summary(schema, forms)

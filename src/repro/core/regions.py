@@ -1,22 +1,33 @@
 """HYDRA's region-partitioning (paper §4.2, Algorithms 1 and 2).
 
 A *box* is an axis-aligned product of integer intervals, represented as a
-``dict`` attribute → :class:`~repro.core.constraints.Interval`.
-:func:`label_partition` runs both algorithms on arrays of boxes. Algorithm 2
-("Valid-Partition") refines the domain box one dimension at a time, cutting
-a box at a sub-constraint's boundaries only while the box still satisfies
-that sub-constraint on every earlier dimension. Algorithm 1 ("Optimal
-Partition") labels each box with the set of CCs it satisfies; the boxes of
-one label are a *region*, an equivalence class of :math:`R_\\mathcal{C}`
-(Lemma 4.3), so the label classes are the minimum number of LP variables
-that encode the CCs exactly.
+``dict`` attribute → :class:`~repro.core.constraints.Interval`. Algorithm 1
+("Optimal Partition") labels each point of a sub-view's domain with the set
+of CCs it satisfies; the points of one label are a *region*, an equivalence
+class of :math:`R_\\mathcal{C}` (Lemma 4.3), so the label classes are the
+minimum number of LP variables that encode the CCs exactly. The LP's
+consistency constraints also need each shared attribute cut at its CC
+boundaries, so an LP region is one (label, shared-attribute cell) class.
 
-A region is one label class carried by its lexicographically first box: the
-LP assigns it one variable, and the summary generator places its NumTuples
-on that box (§5.2's deterministic choice). :func:`partition_lp_regions`
-first cuts the label classes at the shared attributes' CC boundaries, so a
-region's interval on a shared attribute is exactly one boundary cell; the
-LP's consistency constraints key on that interval.
+:func:`partition_lp_regions` finds these classes in one sweep over the
+sub-view's attributes, in order: Algorithm 2's per-dimension refinement,
+with pieces keyed by their *state* rather than their geometry. A state is
+the set of sub-constraints still alive (satisfied on every attribute swept
+so far) plus the shared-attribute cells chosen so far. Each attribute's
+domain is cut into elementary intervals at every CC constant on it (and at
+the boundaries, if it is shared); a state's child on an interval drops the
+sub-constraints whose interval misses it. Points in one state have the same
+future, so children with equal states are one piece, and the working set
+follows the states, not box fragments. A final state's label is the TRUE
+CCs plus every CC with a live sub-constraint.
+
+A region is carried by the elementary cell at its lexicographically first
+point: the LP assigns it one variable, and the summary generator places its
+NumTuples at that cell's lows (§5.2's deterministic choice). The sweep keeps
+each state's first point, so regions come out in the lexicographic order of
+their lows. A region's interval on a shared attribute is exactly one
+boundary cell, which the LP's consistency constraints key on; on the other
+attributes the box is one elementary interval, not the class's extent.
 
 Regions stay columnar from the partitioner to the LP: :class:`Regions`
 holds every region's box as a row of int64 ``los``/``his`` arrays and its
@@ -44,10 +55,11 @@ def box_key(box: Box, attrs: Sequence[str]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Region:
-    """One LP variable: a label class, carried by its first box.
+    """One LP variable: a (label, shared cell) class, carried by the
+    elementary cell at its lexicographically first point.
 
     ``label`` is the frozenset of CC indices (into the formulation's CC
-    list) that every point of the region satisfies.
+    list) that every point of the class, and so of ``box``, satisfies.
     """
 
     box: Box
@@ -58,7 +70,8 @@ class Regions(SequenceABC):
     """A sub-view's regions as arrays: a read-only sequence of :class:`Region`.
 
     Row *i* of the int64 ``los``/``his`` arrays (n × d, columns in ``attrs``
-    order) is region *i*'s box, and ``labels[label_ids[i]]`` its label.
+    order) is region *i*'s box — the elementary cell at its class's
+    lexicographically first point — and ``labels[label_ids[i]]`` its label.
     ``labels`` holds each distinct label once. Indexing and iteration build
     the :class:`Region` objects on access.
     """
@@ -111,131 +124,25 @@ class Regions(SequenceABC):
         return Regions(self.attrs, self.los, self.his, self.label_ids, labels)
 
 
-def _cut(los, his, extra, dim, p, where=True):
-    """Cut the boxes selected by ``where`` that straddle ``p`` along ``dim``.
-
-    Left pieces stay in place; right pieces are appended, and so are copies
-    of their rows of every per-box array in ``extra``.
-    """
-    strad = where & (los[:, dim] < p) & (his[:, dim] > p)
-    if not strad.any():
-        return los, his, extra
-    right_los = los[strad].copy()
-    right_los[:, dim] = p
-    right_his = his[strad].copy()
-    his[strad, dim] = p
-    return (
-        np.vstack([los, right_los]),
-        np.vstack([his, right_his]),
-        [np.concatenate([e, e[strad]]) for e in extra],
-    )
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bit rows packed into uint8 rows of at least one byte."""
+    out = np.zeros((len(bits), max(1, -(-bits.shape[1] // 8))), dtype=np.uint8)
+    packed = np.packbits(bits, axis=1)
+    out[:, : packed.shape[1]] = packed
+    return out
 
 
-def _merge_adjacent(los, his, sig_ids, dim):
-    """Coalesce boxes identical except for contiguity along ``dim``.
-
-    Constraints that die on a late dimension leave adjacent fragments
-    with re-converged signatures; re-merging them after every
-    dimension pass is what keeps the intermediate working set near
-    the final region count instead of exploding combinatorially.
-    """
-    if len(los) < 2:
-        return los, his, sig_ids
-    other = [d for d in range(los.shape[1]) if d != dim]
-    keys = (
-        [los[:, dim]]
-        + [his[:, d] for d in reversed(other)]
-        + [los[:, d] for d in reversed(other)]
-        + [sig_ids]
-    )
-    order = np.lexsort(keys)
-    lo_s, hi_s, sg_s = los[order], his[order], sig_ids[order]
-    same = (sg_s[1:] == sg_s[:-1])
-    for d in other:
-        same &= (lo_s[1:, d] == lo_s[:-1, d]) & (hi_s[1:, d] == hi_s[:-1, d])
-    contiguous = same & (lo_s[1:, dim] == hi_s[:-1, dim])
-    if not contiguous.any():
-        return los, his, sig_ids
-    new_group = np.concatenate([[True], ~contiguous])
-    starts = np.flatnonzero(new_group)
-    out_lo = lo_s[starts]
-    out_hi = hi_s[starts].copy()
-    # Chain end index per group: position before the next start.
-    ends = np.concatenate([starts[1:], [len(lo_s)]]) - 1
-    out_hi[:, dim] = hi_s[ends, dim]
-    return out_lo, out_hi, sg_s[starts]
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a uint8 array, and each row's index into them."""
+    width = rows.shape[1]
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.frombuffer(distinct.tobytes(), np.uint8).reshape(-1, width), inverse
 
 
-def label_partition(
-    attrs: Sequence[str],
-    domain: Mapping[str, Interval],
-    ccs: Sequence[CC],
-):
-    """Algorithms 1+2: the optimal partition w.r.t. ``ccs``, as box arrays.
-
-    Returns ``(los, his, labels)``: row *i* of the int64 arrays ``los`` and
-    ``his`` is a box (columns in ``attrs`` order), and ``labels[i]`` is the
-    frozenset of CC indices it satisfies. The boxes tile the domain; the
-    boxes of one label make up one region.
-
-    Each box carries its *alive signature*, the set of sub-constraints it
-    still fully satisfies on all processed dimensions. A sub-constraint
-    only cuts boxes still alive for it (dead ones are uniformly false
-    whatever the later dimensions), and contiguous boxes with equal
-    signatures are re-merged after every dimension, so the working set
-    tracks the final region count rather than the refined block count.
-    Labels follow from signatures: a DNF CC is satisfied iff any of its
-    sub-constraints stays alive (Lemma 4.4's label construction).
-    """
-    subs = sub_constraints(ccs)
-    cc_of_sub: list[list[int]] = [[] for _ in subs]
-    si = 0
-    for j, cc in enumerate(ccs):
-        for c in cc.predicate.conjuncts:
-            if c.restrictions:
-                cc_of_sub[si].append(j)
-                si += 1
-    true_ccs = frozenset(j for j, cc in enumerate(ccs) if cc.predicate.is_true)
-
-    los = np.array([[domain[a].lo for a in attrs]], dtype=np.int64)
-    his = np.array([[domain[a].hi for a in attrs]], dtype=np.int64)
-    sig_table: list[frozenset[int]] = [frozenset(range(len(subs)))]
-    sig_index: dict[frozenset[int], int] = {sig_table[0]: 0}
-    sig_ids = np.zeros(1, dtype=np.int64)
-
-    for di, a in enumerate(attrs):
-        for ci, c in enumerate(subs):
-            proj = c.restriction(a)
-            if proj is None:
-                continue
-            alive_tab = np.fromiter(
-                (ci in s for s in sig_table), dtype=bool, count=len(sig_table)
-            )
-            mask_alive = alive_tab[sig_ids]
-            for p in (proj.lo, proj.hi):
-                los, his, (sig_ids, mask_alive) = _cut(
-                    los, his, (sig_ids, mask_alive), di, p, mask_alive
-                )
-            inside = (los[:, di] >= proj.lo) & (his[:, di] <= proj.hi)
-            out_mask = mask_alive & ~inside
-            if out_mask.any():
-                lut = np.arange(len(sig_table), dtype=np.int64)
-                for s in np.unique(sig_ids[out_mask]):
-                    ns = sig_table[s] - {ci}
-                    if ns not in sig_index:
-                        sig_index[ns] = len(sig_table)
-                        sig_table.append(ns)
-                        lut = np.concatenate([lut, [0]])  # placeholder, grown
-                    lut[s] = sig_index[ns]
-                sig_ids = sig_ids.copy()
-                sig_ids[out_mask] = lut[sig_ids[out_mask]]
-        # Re-coalesce fragments along every processed dimension.
-        for d in range(di + 1):
-            los, his, sig_ids = _merge_adjacent(los, his, sig_ids, d)
-    label_of_sig = np.empty(len(sig_table), dtype=object)
-    for s, sig in enumerate(sig_table):
-        label_of_sig[s] = true_ccs | frozenset(j for ci in sig for j in cc_of_sub[ci])
-    return los, his, label_of_sig[sig_ids]
+def _first_occurrences(key: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each value of ``key``."""
+    return np.sort(np.unique(key, return_index=True)[1])
 
 
 def partition_lp_regions(
@@ -247,37 +154,89 @@ def partition_lp_regions(
 ) -> Regions:
     """The LP's regions: one per (CC label × shared-attribute boundary cell).
 
-    The boxes of :func:`label_partition` are cut at ``boundaries[a]`` for
-    every shared attribute ``a``. Those must include every constant of
-    ``ccs`` on ``a`` inside the domain (the LP builder passes the constants
-    of all sub-views' CCs), so each cut box's interval on ``a`` is exactly
-    one boundary cell, named by its low end. Each region keeps only its
-    lexicographically first box; regions are ordered by their boxes' lows
-    in ``attrs`` order (:func:`box_key`).
-    """
-    los, his, labels = label_partition(attrs, domain, ccs)
-    label_index: dict[frozenset[int], int] = {}
-    lab = np.fromiter(
-        (label_index.setdefault(lb, len(label_index)) for lb in labels),
-        dtype=np.int64,
-        count=len(labels),
-    )
-    for a in shared:
-        di = attrs.index(a)
-        for p in sorted(boundaries[a]):
-            los, his, (lab,) = _cut(los, his, (lab,), di, p)
+    ``boundaries[a]`` cuts every shared attribute ``a``; it must hold every
+    constant of ``ccs`` on ``a`` inside the domain (the LP builder passes the
+    constants of all sub-views' CCs), else ``ValueError``. Each region's
+    interval on ``a`` is then exactly one boundary cell. A region's box is
+    the elementary cell at its class's lexicographically first point, and
+    regions are ordered by their boxes' lows in ``attrs`` order.
 
-    # The boxes tile the domain, so no two share their lows: sorting by
-    # (label, shared cells, lows) puts each region's lexicographically
-    # first box at the start of its run.
-    lows = tuple(los[:, d] for d in range(len(attrs) - 1, -1, -1))
-    key = [lab] + [los[:, attrs.index(a)] for a in shared]
-    order = np.lexsort(lows + tuple(reversed(key)))
-    new_run = np.zeros(len(order), dtype=bool)
-    new_run[:1] = True
-    for k in key:
-        ks = k[order]
-        new_run[1:] |= ks[1:] != ks[:-1]
-    first = order[new_run]
-    first = first[np.lexsort(tuple(lo[first] for lo in lows))]
-    return Regions(attrs, los[first], his[first], lab[first], label_index)
+    One sweep over ``attrs``, one attribute at a time: a state is the set of
+    sub-constraints still alive plus the shared cells chosen so far, held as
+    an id into a table of distinct alive bit sets and a cell-prefix id. The
+    attribute's elementary intervals map each alive set to its successor;
+    each state's children are enumerated parent-major and interval-ascending
+    and equal children merged into the first, which carries the state's
+    lexicographically first point (kept as a pointer to its parent and
+    interval, so the boxes are rebuilt only for the regions at the end).
+    """
+    subs = sub_constraints(ccs)
+    sub_cc = np.array(
+        [j for j, cc in enumerate(ccs) for c in cc.predicate.conjuncts if c.restrictions],
+        dtype=np.int64,
+    )
+    alive = _pack(np.ones((1, len(subs)), dtype=bool))  # distinct alive sets
+    state_alive = np.zeros(1, dtype=np.int64)  # states in first-point order
+    state_cell = np.zeros(1, dtype=np.int64)
+    n_cells = 1
+    levels = []  # per attribute: each state's parent and interval, the intervals
+    for a in attrs:
+        dom = domain[a]
+        proj = [(si, r) for si, c in enumerate(subs) if (r := c.restriction(a)) is not None]
+        points = {p for _, r in proj for p in (r.lo, r.hi) if dom.lo < p < dom.hi}
+        if a in shared:
+            bounds = {p for p in boundaries[a] if dom.lo < p < dom.hi}
+            if not points <= bounds:
+                raise ValueError(
+                    f"boundaries of shared attribute {a!r} lack CC constants "
+                    f"{sorted(points - bounds)}"
+                )
+            points = bounds
+        cuts = np.array(sorted(points | {dom.lo, dom.hi}), dtype=np.int64)
+        lo, hi = cuts[:-1], cuts[1:]
+        n_iv = len(lo)
+        kill = np.zeros((n_iv, len(subs)), dtype=bool)
+        for si, r in proj:
+            kill[:, si] = (lo < r.lo) | (hi > r.hi)
+        # Successor of every (alive set, interval) pair.
+        successors = alive[:, None, :] & ~_pack(kill)[None, :, :]
+        alive, succ = _distinct_rows(successors.reshape(-1, alive.shape[1]))
+        succ = succ.reshape(-1, n_iv)
+        n = len(state_alive)
+        parent = np.repeat(np.arange(n), n_iv)
+        iv = np.tile(np.arange(n_iv), n)
+        cell = state_cell[parent]
+        if a in shared:
+            _, cell = np.unique(cell * n_iv + iv, return_inverse=True)
+            n_cells = int(cell.max()) + 1
+        child_alive = succ[state_alive[parent], iv]
+        keep = _first_occurrences(child_alive * n_cells + cell)
+        state_alive, state_cell = child_alive[keep], cell[keep]
+        levels.append((parent[keep], iv[keep], lo, hi))
+
+    # Labels: the TRUE CCs plus every CC with a live sub-constraint.
+    has = np.zeros((len(alive), len(ccs)), dtype=bool)
+    has[:, [j for j, cc in enumerate(ccs) if cc.predicate.is_true]] = True
+    if len(subs):
+        with_subs, starts = np.unique(sub_cc, return_index=True)
+        bits = np.unpackbits(alive, axis=1, count=len(subs)).astype(bool)
+        has[:, with_subs] |= np.logical_or.reduceat(bits, starts, axis=1)
+    label_bits, label_of = _distinct_rows(_pack(has))
+    lab = label_of[state_alive]
+    first = _first_occurrences(lab * n_cells + state_cell)
+    lab = lab[first]
+    # Number the labels in order of first appearance.
+    order = lab[_first_occurrences(lab)]
+    renumber = np.empty(len(label_bits), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    bits = np.unpackbits(label_bits[order], axis=1, count=len(ccs))
+    labels = [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+
+    los = np.empty((len(first), len(attrs)), dtype=np.int64)
+    his = np.empty_like(los)
+    idx = first
+    for d in range(len(attrs) - 1, -1, -1):
+        parent, iv, lo, hi = levels[d]
+        los[:, d], his[:, d] = lo[iv[idx]], hi[iv[idx]]
+        idx = parent[idx]
+    return Regions(attrs, los, his, renumber[lab], labels)

@@ -17,8 +17,9 @@ any residual after rounding is *measured* by the metrics module, mirroring
 the paper's own error reporting, never silently ignored).
 
 :class:`LinearSystem` keeps each row sparse, as an index array and a
-coefficient array. A solve builds the dense matrix once, for the tableau;
-the residual check reads the sparse rows.
+coefficient array. A solve builds the dense phase-1 tableau straight from
+those rows (:func:`phase1_tableau`, no intermediate dense ``A``) and updates
+its rows in place; the residual check reads the sparse rows.
 """
 from __future__ import annotations
 
@@ -88,7 +89,10 @@ class LinearSystem:
         return np.array([rhs for _, rhs in self.rows], dtype=np.float64)
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(A, b)`` as dense arrays; a repeated index within a row adds up."""
+        """``(A, b)`` as dense arrays; a repeated index within a row adds up.
+
+        The solver does not call this: it is the reference the tests hold
+        :func:`phase1_tableau` to."""
         A = np.zeros((len(self.rows), self.n_vars))
         row, idx, coef = self._coo()
         np.add.at(A, (row, idx), coef)
@@ -104,6 +108,29 @@ class Infeasible(RuntimeError):
     """The constraint system admits no non-negative solution."""
 
 
+def phase1_tableau(system: LinearSystem) -> np.ndarray:
+    """The phase-1 tableau ``[A | I | b]`` over the objective row, built
+    straight from the sparse rows: rows with ``b < 0`` are negated so the
+    artificial basis starts feasible, and the objective row holds the
+    reduced costs of minimizing the sum of the artificials (minus each
+    column's sum, and ``-sum(b)``). A repeated index within a row adds up.
+    """
+    m, n = len(system.rows), system.n_vars
+    width = n + m + 1
+    row, idx, coef = system._coo()
+    b = system._rhs()
+    neg = b < 0
+    coef = np.where(neg[row], -coef, coef)
+    b[neg] *= -1.0
+    T = np.bincount(row * width + idx, weights=coef, minlength=(m + 1) * width)
+    T = T.reshape(m + 1, width)
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:m, -1] = b
+    T[m, :n] = -np.bincount(idx, weights=coef, minlength=n)
+    T[m, -1] = -b.sum()
+    return T
+
+
 def solve_feasible(system: LinearSystem) -> np.ndarray:
     """Return one non-negative solution of ``A x = b`` (phase-1 simplex).
 
@@ -111,25 +138,13 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     zero. The result is exact at the level of the verified residual check
     (``<= 1e-6`` per row) before any rounding by callers.
     """
-    A, b = system.dense()
-    m, n = A.shape
+    m, n = len(system.rows), system.n_vars
     if m == 0:
         return np.zeros(n)
-    # Normalize to b >= 0 so artificials start feasible.
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Tableau: [A | I | b]; artificial basis; phase-1 cost = sum artificials.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    # Objective row: reduced costs for minimizing sum of artificials.
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    del A  # the tableau holds it now; the residual check reads the sparse rows
+    T = phase1_tableau(system)
+    scale = np.abs(system._rhs())
     basis = list(range(n, n + m))
+    tmp = np.empty(n + m + 1)  # one pivot row update, reused
 
     stall = 0
     last_obj = T[m, -1]
@@ -161,7 +176,8 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         T[r] /= piv
         for i in np.flatnonzero(np.abs(T[:, j]) > 1e-12):
             if i != r:
-                T[i] -= T[i, j] * T[r]
+                np.multiply(T[i, j], T[r], out=tmp)
+                np.subtract(T[i], tmp, out=T[i])
         basis[r] = j
         if not bland:
             # Progress in phase-1 raises T[m, -1] (= -objective) toward 0;
@@ -174,7 +190,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
                 stall = 0
             last_obj = T[m, -1]
     obj = -T[m, -1]
-    if obj > 1e-6 * max(1.0, abs(b).sum()):
+    if obj > 1e-6 * max(1.0, scale.sum()):
         raise Infeasible(f"phase-1 optimum {obj:g} > 0")
 
     x = np.zeros(n + m)
@@ -182,7 +198,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         x[j] = T[r, -1]
     x = np.clip(x[:n], 0.0, None)
     res = system.residuals(x)
-    if np.abs(res).max() > 1e-6 * max(1.0, np.abs(b).max()):
+    if np.abs(res).max() > 1e-6 * max(1.0, scale.max()):
         raise Infeasible(f"verified residual too large: {np.abs(res).max():g}")
     return x
 

@@ -28,8 +28,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 import pyspark.sql.functions as F
 
-from .constraints import Predicate
-from .preprocess import RawCC
+from .constraints import CC, Predicate
+from .preprocess import RawCC, rewrite_ccs
 from .schema import Schema
 
 
@@ -191,3 +191,14 @@ def base_size_ccs(
                 RawCC(tables=frozenset({rel}), predicate=Predicate.true(), count=n)
             )
     return out
+
+
+def client_ccs(
+    schema: Schema, tables: dict[str, pd.DataFrame], queries: list[QuerySpec]
+) -> list[CC]:
+    """The CCs a client site ships: each query's AQP counts on ``tables``
+    (pandas), a size CC for every relation no query touched, rewritten onto
+    the views (:func:`repro.core.preprocess.rewrite_ccs`)."""
+    raw = derive_ccs_pandas(schema, tables, queries)
+    raw = base_size_ccs(schema, {r: len(df) for r, df in tables.items()}, raw)
+    return rewrite_ccs(schema, raw)

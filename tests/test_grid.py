@@ -10,7 +10,7 @@ from repro.core.grid import (
     grid_partition,
     grid_variable_count,
 )
-from repro.core.regions import Regions, label_partition, partition_lp_regions
+from repro.core.regions import Regions, partition_lp_regions
 
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
 
@@ -75,16 +75,27 @@ class TestGridPartition:
 
     def test_labels_consistent_with_region_partition(self):
         ccs = person_ccs()
-        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, (), {})
-        los, his, labels = label_partition(("age", "salary"), PERSON_DOMAIN, ccs)
-        # Total area per label must agree between the two partitions.
+        attrs = ("age", "salary")
+        cells = grid_partition(attrs, PERSON_DOMAIN, ccs, (), {})
+        # With every attribute shared and cut at its CC constants, each
+        # region is one elementary cell, so the regions tile the domain.
+        bounds = {"age": [20, 40, 60], "salary": [20, 40, 60]}
+        regions = partition_lp_regions(attrs, PERSON_DOMAIN, ccs, attrs, bounds)
+        # Total area per label must agree between the two partitions, and
+        # every label-only region's box must hold only points of its label.
         grid_area = {}
         for c in cells:
             grid_area[c.label] = grid_area.get(c.label, 0) + area(c.box)
         region_area = {}
-        for lo, hi, lab in zip(los, his, labels):
-            region_area[lab] = region_area.get(lab, 0) + int((hi - lo).prod())
+        for r in regions:
+            region_area[r.label] = region_area.get(r.label, 0) + area(r.box)
         assert grid_area == region_area
+        for r in partition_lp_regions(attrs, PERSON_DOMAIN, ccs, (), {}):
+            for p in itertools.product(*(range(r.box[a].lo, r.box[a].hi) for a in attrs)):
+                point = dict(zip(attrs, p))
+                assert frozenset(
+                    i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point)
+                ) == r.label
 
     def test_shared_attribute_cut_at_boundaries(self):
         """Cells are cut at the consistency boundaries too, so each cell's

@@ -2,7 +2,8 @@
 
 The §3.2 "Person" view (Figure 3) must produce exactly 4 regions where
 grid-partitioning produces 16 cells, and the LP constraints must take the
-Figure 4b shape.
+Figure 4b shape. The partitioner is checked against a point oracle: each
+point's label is the set of CCs it satisfies, computed point by point.
 """
 import itertools
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
-from repro.core.regions import Region, Regions, label_partition, partition_lp_regions
+from repro.core.regions import Region, Regions, partition_lp_regions
 
 
 def person_ccs():
@@ -28,13 +29,32 @@ PERSON = ("age", "salary")
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
 
 
-def boxes(attrs, domain, ccs):
-    """``label_partition``'s boxes as (box dict, label) pairs."""
-    los, his, labels = label_partition(attrs, domain, ccs)
-    return [
-        ({a: Interval(int(lo[d]), int(hi[d])) for d, a in enumerate(attrs)}, lab)
-        for lo, hi, lab in zip(los, his, labels)
-    ]
+def constants(ccs, attr, dom):
+    """The CC constants on ``attr`` strictly inside ``dom``."""
+    return sorted({
+        p for cc in ccs for c in cc.predicate.conjuncts for a, iv in c.restrictions
+        if a == attr for p in (iv.lo, iv.hi) if dom.lo < p < dom.hi
+    })
+
+
+def cells(attrs, domain, ccs):
+    """The regions, as (box dict, label) pairs, with every attribute shared
+    and cut at its CC constants: a region is then one elementary cell, and
+    the cells tile the domain."""
+    bounds = {a: constants(ccs, a, domain[a]) for a in attrs}
+    return [(r.box, r.label) for r in partition_lp_regions(attrs, domain, ccs, attrs, bounds)]
+
+
+def point_label(ccs, point):
+    """The oracle: the CCs that one point satisfies."""
+    return frozenset(i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point))
+
+
+def points(box):
+    """Every point of a box, in lexicographic order, as attribute dicts."""
+    attrs = list(box)
+    for p in itertools.product(*(range(box[a].lo, box[a].hi) for a in attrs)):
+        yield dict(zip(attrs, p))
 
 
 def area(box):
@@ -46,15 +66,15 @@ def area(box):
 
 def area_by_label(attrs, domain, ccs):
     out = {}
-    for b, lab in boxes(attrs, domain, ccs):
+    for b, lab in cells(attrs, domain, ccs):
         out[lab] = out.get(lab, 0) + area(b)
     return out
 
 
 def cut_1d(iv, cut):
-    """The intervals label_partition cuts ``iv`` into for one CC on ``cut``."""
+    """The cells the partitioner cuts ``iv`` into for one CC on ``cut``."""
     ccs = [CC("v", Predicate.of(a=(cut.lo, cut.hi)), 1)]
-    return sorted((b["a"] for b, _ in boxes(("a",), {"a": iv}, ccs)), key=lambda i: i.lo)
+    return sorted((b["a"] for b, _ in cells(("a",), {"a": iv}, ccs)), key=lambda i: i.lo)
 
 
 class TestSplitInterval:
@@ -89,20 +109,19 @@ PERSON_SUBS = [
 
 class TestValidPartition:
     def test_no_constraints_single_block(self):
-        assert boxes(("a",), {"a": Interval(0, 10)}, []) == [
-            ({"a": Interval(0, 10)}, frozenset())
-        ]
+        regions = partition_lp_regions(("a",), {"a": Interval(0, 10)}, [], (), {})
+        assert [(r.box, r.label) for r in regions] == [({"a": Interval(0, 10)}, frozenset())]
 
     def test_blocks_partition_domain(self):
-        total = sum(area(b) for b, _ in boxes(PERSON, PERSON_DOMAIN, person_ccs()))
+        total = sum(area(b) for b, _ in cells(PERSON, PERSON_DOMAIN, person_ccs()))
         assert total == 100 * 100
 
     def test_blocks_uniform_per_subconstraint(self):
-        """Every block is fully inside or fully outside each conjunct (as a
-        whole conjunction) — the validity Algorithm 1's labelling needs.
-        Blocks already outside on one dimension MAY straddle boundaries on
-        another (the pruning that keeps the partition small)."""
-        for b, _ in boxes(PERSON, PERSON_DOMAIN, person_ccs()):
+        """Every region's box is fully inside or fully outside each conjunct
+        (as a whole conjunction) — the validity Algorithm 1's labelling
+        needs."""
+        for r in partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), (), {}):
+            b = r.box
             for c in PERSON_SUBS:
                 corner_vals = set()
                 for age in (b["age"].lo, b["age"].hi - 1):
@@ -112,7 +131,7 @@ class TestValidPartition:
 
     def test_pruning_beats_grid(self):
         # strictly fewer than the 4×4 grid
-        assert len(boxes(PERSON, PERSON_DOMAIN, person_ccs())) < 16
+        assert len(partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), (), {})) < 16
 
 
 class TestOptimalPartitionPaperExamples:
@@ -155,7 +174,7 @@ class TestOptimalPartitionPaperExamples:
         domain = {"a": Interval(0, 100)}
         # [0,10) / [10,20)∪[30,100) / [20,30): outside blocks share a label.
         assert len(partition_lp_regions(("a",), domain, ccs, (), {})) == 3
-        outside = [b for b, lab in boxes(("a",), domain, ccs) if lab == frozenset({2})]
+        outside = [b for b, lab in cells(("a",), domain, ccs) if lab == frozenset({2})]
         assert len(outside) == 2
 
     def test_nested_ccs(self):
@@ -170,7 +189,7 @@ class TestOptimalPartitionPaperExamples:
         r1 = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), ("age",), {"age": [20, 40, 60]})
         r2 = partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), ("age",), {"age": [20, 40, 60]})
         assert r1 == r2
-        assert boxes(PERSON, PERSON_DOMAIN, person_ccs()) == boxes(
+        assert cells(PERSON, PERSON_DOMAIN, person_ccs()) == cells(
             PERSON, PERSON_DOMAIN, person_ccs()
         )
 
@@ -182,51 +201,48 @@ def _intervals(n):
 
 
 @st.composite
-def domain_and_ccs(draw):
-    """A small 2-D integer domain and 1–4 CCs, each a DNF of 1–2 conjuncts
-    restricting a, b or both."""
-    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+def domain_and_ccs(draw, attrs=("a", "b"), max_width=8):
+    """A small integer domain over ``attrs`` and 1–4 CCs, each a DNF of 1–2
+    conjuncts restricting a non-empty subset of ``attrs``."""
+    domain = {a: Interval(0, draw(st.integers(1, max_width))) for a in attrs}
+    subsets = [on for k in range(1, len(attrs) + 1) for on in itertools.combinations(attrs, k)]
     ccs = []
     for _ in range(draw(st.integers(1, 4))):
         conjuncts = []
         for _ in range(draw(st.integers(1, 2))):
-            on = draw(st.sampled_from([("a",), ("b",), ("a", "b")]))
-            conjuncts.append(
-                Conjunct.of(**{x: draw(_intervals(w if x == "a" else h)) for x in on})
-            )
+            on = draw(st.sampled_from(subsets))
+            conjuncts.append(Conjunct.of(**{x: draw(_intervals(domain[x].hi)) for x in on}))
         ccs.append(CC("v", Predicate(tuple(conjuncts)), 1))
-    return {"a": Interval(0, w), "b": Interval(0, h)}, ccs + [total_cc("v", 10)]
+    return domain, ccs + [total_cc("v", 10)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=domain_and_ccs())
 def test_optimal_partition_is_valid_and_covers(case):
-    """Property, checked point by point on a 2-D domain: the boxes tile the
-    domain, each label's boxes cover exactly the points with that label,
-    and there is one region per distinct point label (Lemma 4.3: the
-    quotient set is the optimal partition)."""
+    """Property, checked point by point on a 2-D domain: the elementary
+    cells tile the domain, each label's cells cover exactly the points with
+    that label, and the label-only partition has one region per distinct
+    point label (Lemma 4.3: the quotient set is the optimal partition),
+    each region's box holding only points of its label."""
     domain, ccs = case
     attrs = ("a", "b")
-    point_labels = {}
-    for p in itertools.product(range(domain["a"].hi), range(domain["b"].hi)):
-        point = dict(zip(attrs, p))
-        point_labels[p] = frozenset(
-            i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point)
-        )
+    point_labels = {tuple(p.values()): point_label(ccs, p) for p in points(domain)}
     count = {}
     for lab in point_labels.values():
         count[lab] = count.get(lab, 0) + 1
 
     covered = set()
-    for b, lab in boxes(attrs, domain, ccs):
-        for p in itertools.product(range(b["a"].lo, b["a"].hi), range(b["b"].lo, b["b"].hi)):
-            assert p not in covered
-            covered.add(p)
-            assert point_labels[p] == lab
+    for b, lab in cells(attrs, domain, ccs):
+        for p in points(b):
+            key = tuple(p.values())
+            assert key not in covered
+            covered.add(key)
+            assert point_labels[key] == lab
     assert covered == set(point_labels)
     assert area_by_label(attrs, domain, ccs) == count
     regions = partition_lp_regions(attrs, domain, ccs, (), {})
     assert sorted(map(sorted, (r.label for r in regions))) == sorted(map(sorted, count))
+    assert all(point_label(ccs, p) == r.label for r in regions for p in points(r.box))
 
 
 def one_cell_each(regions, attr, boundaries, domain):
@@ -262,11 +278,10 @@ class TestConsistencyRefinement:
     def test_split_points(self):
         """Every box edge is a CC constant or a domain edge — what lets the
         LP key a region by its own interval on a shared attribute."""
-        ccs = person_ccs()
-        constants = {0, 20, 40, 60, 100}
-        for b, _ in boxes(PERSON, PERSON_DOMAIN, ccs):
-            for iv in b.values():
-                assert {iv.lo, iv.hi} <= constants
+        edges = {0, 20, 40, 60, 100}
+        for r in partition_lp_regions(PERSON, PERSON_DOMAIN, person_ccs(), (), {}):
+            for iv in r.box.values():
+                assert {iv.lo, iv.hi} <= edges
 
     def test_each_region_is_one_shared_cell(self):
         p = Predicate((Conjunct.of(a=(0, 21), b=(31, 100)), Conjunct.of(a=(51, 100))))
@@ -281,37 +296,65 @@ class TestConsistencyRefinement:
         assert {r.label for r in regions} == {r.label for r in label_only}
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=domain_and_ccs(), extra=st.integers(0, 8))
-def test_lp_regions_are_first_boxes_of_label_cell_classes(case, extra):
-    """Property, checked point by point: cutting at the CC constants on a
-    shared attribute, there is one region per (point label, shared cell)
-    class, carried by the class's lexicographically first point, and the
-    regions come in the lexicographic order of their boxes' lows."""
-    domain, ccs = case
-    attrs = ("a", "b")
-    dom = domain["a"]
-    bounds = {extra} | {
-        p for cc in ccs for c in cc.predicate.conjuncts for a, iv in c.restrictions
-        if a == "a" for p in (iv.lo, iv.hi)
+#: (sub-view attributes, shared attributes) of the LP-region property test
+LP_CASES = [(("a", "b"), ("a",)), (("a", "b", "c"), ("a", "c")), (("a", "b", "c"), ("b", "c"))]
+
+
+@st.composite
+def lp_case(draw):
+    attrs, shared = draw(st.sampled_from(LP_CASES))
+    domain, ccs = draw(domain_and_ccs(attrs, 8 if len(attrs) == 2 else 4))
+    extra = {a: draw(st.integers(0, 8)) for a in shared}
+    return attrs, shared, domain, ccs, extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lp_case())
+def test_lp_regions_are_first_boxes_of_label_cell_classes(case):
+    """Property, checked point by point on 2-D and 3-D domains with one or
+    two shared attributes, cut at their CC constants plus one more point
+    each: there is one region per (point label, shared cells) class,
+    carried by the class's lexicographically first point; the regions come
+    in the lexicographic order of their boxes' lows; and every point of a
+    region's box has the region's label and shared cells."""
+    attrs, shared, domain, ccs, extra = case
+    bounds = {
+        a: sorted(set(constants(ccs, a, domain[a]))
+                  | ({extra[a]} if domain[a].lo < extra[a] < domain[a].hi else set()))
+        for a in shared
     }
-    bounds = sorted(p for p in bounds if dom.lo < p < dom.hi)
-    cuts = [dom.lo] + bounds + [dom.hi]
+    cuts = {a: [domain[a].lo] + bounds[a] + [domain[a].hi] for a in shared}
+
+    def cell_of(point):
+        return tuple(
+            next((lo, hi) for lo, hi in zip(cuts[a], cuts[a][1:]) if lo <= point[a] < hi)
+            for a in shared
+        )
+
     first = {}
-    for p in itertools.product(range(dom.hi), range(domain["b"].hi)):  # lexicographic
-        point = dict(zip(attrs, p))
-        lab = frozenset(i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point))
-        cell = next((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo <= p[0] < hi)
-        first.setdefault((lab, cell), p)
-    regions = partition_lp_regions(attrs, domain, ccs, ("a",), {"a": bounds})
+    for point in points(domain):  # lexicographic
+        first.setdefault((point_label(ccs, point), cell_of(point)), tuple(point.values()))
+    regions = partition_lp_regions(attrs, domain, ccs, shared, bounds)
     got = [
-        (r.label, (r.box["a"].lo, r.box["a"].hi), (r.box["a"].lo, r.box["b"].lo))
+        (r.label, tuple((r.box[a].lo, r.box[a].hi) for a in shared),
+         tuple(r.box[a].lo for a in attrs))
         for r in regions
     ]
     assert sorted(got, key=lambda g: g[2]) == got
     assert len({g[2] for g in got}) == len(got)
     assert {(lab, cell): lows for lab, cell, lows in got} == first
     assert len(got) == len(first)
+    for r, (lab, cell, _) in zip(regions, got):
+        for point in points(r.box):
+            assert point_label(ccs, point) == lab and cell_of(point) == cell
+
+
+def test_boundaries_must_hold_the_cc_constants():
+    """A shared attribute cut without one of its CC constants would give a
+    region two labels' worth of points; the partitioner refuses it."""
+    ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
+    with pytest.raises(ValueError, match="50"):
+        partition_lp_regions(("a",), {"a": Interval(0, 100)}, ccs, ("a",), {"a": [25]})
 
 
 class TestRegionsContainer:

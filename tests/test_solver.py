@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.solver import Infeasible, LinearSystem, Terms, round_solution, solve_feasible
+from repro.core.solver import (
+    Infeasible,
+    LinearSystem,
+    Terms,
+    phase1_tableau,
+    round_solution,
+    solve_feasible,
+)
 
 
 def _check(system: LinearSystem, x: np.ndarray) -> None:
@@ -130,6 +137,29 @@ class TestLinearSystem:
         x = rng.integers(0, 5, 6).astype(float)
         A, b = s.dense()
         assert np.array_equal(s.residuals(x), A @ x - b)
+
+    def test_phase1_tableau_equals_dense_reference(self):
+        """The tableau built from the sparse rows equals the one built from
+        ``dense()``: ``[A | I | b]`` with the rows of ``b < 0`` negated,
+        over the objective row ``-A.sum(axis=0)``, ``-sum(b)``."""
+        s = LinearSystem(5)
+        s.add([(0, 1.0), (3, -1.0), (0, 1.0)], -2)  # repeated index, b < 0
+        s.add_sum([1, 2, 4], 6)
+        s.add([(4, 1.0), (2, -1.0)], 0)
+        s.add([(1, -1.0), (3, 0.5)], -3)
+        s.add_sum([], 0)
+        A, b = s.dense()
+        m, n = A.shape
+        neg = b < 0
+        A[neg] *= -1.0
+        b[neg] *= -1.0
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = A
+        T[:m, n : n + m] = np.eye(m)
+        T[:m, -1] = b
+        T[m, :n] = -A.sum(axis=0)
+        T[m, -1] = -b.sum()
+        assert np.array_equal(phase1_tableau(s), T)
 
     def test_array_index_out_of_range_rejected(self):
         s = LinearSystem(2)

@@ -11,9 +11,16 @@ CCs come from query-ordered plans (each AQP's own table order), achieved
 counts from set-ordered plans (:func:`repro.core.workload.join_order`).
 Re-measuring every CC on the client database it was derived from checks
 that both choose the same FK edges on the real schemas.
-"""
-import itertools
 
+Finally, the whole summary that ``regenerate`` builds is pinned, byte for
+byte, on WLc, WLs and JOB-lite: a change to the partitioner, the LP or the
+solver that moves any LP vertex shows there.
+"""
+import hashlib
+import itertools
+import json
+
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -24,7 +31,7 @@ from repro.job.schema import job_schema
 from repro.job.workload import make_job_workload
 from repro.tpcds import generator as tpcds_generator
 from repro.tpcds.schema import tpcds_schema
-from repro.tpcds.workload import make_wls
+from repro.tpcds.workload import make_wlc, make_wls
 
 SUBSTRATES = {
     "job-lite": (job_schema, job_generator.generate_client_db, lambda: make_job_workload(40)),
@@ -37,9 +44,7 @@ def derive_client(name: str):
     make_schema, make_db, make_queries = SUBSTRATES[name]
     schema = make_schema()
     db = make_db(0.01)
-    raw = workload.derive_ccs_pandas(schema, db, make_queries())
-    raw = workload.base_size_ccs(schema, {r: len(df) for r, df in db.items()}, raw)
-    return schema, db, preprocess.rewrite_ccs(schema, raw)
+    return schema, db, workload.client_ccs(schema, db, make_queries())
 
 
 @pytest.fixture(scope="module", params=sorted(SUBSTRATES))
@@ -151,3 +156,45 @@ def test_job_lite_x10_generated_equals_driver_decode(spark):
         assert df.schema == tuplegen.relation_schema(schema, rel)
         got = df.toPandas().sort_values(pk).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, tuplegen.relation_to_pandas(schema, summary, rel))
+
+
+def summary_digest(summary) -> str:
+    """sha256 over each relation summary's name, columns and int64 values,
+    in name order, then the extra tuples (the benchmark's digest)."""
+    h = hashlib.sha256()
+    for name in sorted(summary.relations):
+        frame = summary.relations[name].frame
+        h.update(f"{name}:{','.join(frame.columns)}".encode())
+        h.update(np.ascontiguousarray(frame.to_numpy(dtype=np.int64)).tobytes())
+    h.update(json.dumps(sorted(summary.extra_tuples.items())).encode())
+    return h.hexdigest()
+
+
+def _tpcds(sf, queries):
+    return tpcds_schema, lambda: tpcds_generator.generate_client_db(sf, seed=0), queries
+
+
+_JOB = (job_schema, lambda: job_generator.generate_client_db(0.01, seed=7),
+        lambda: make_job_workload(40, seed=303))
+
+#: name: ((schema, client DB, queries) makers, CC scale, summary digest)
+GOLDEN = {
+    "wlc-101": (_tpcds(0.01, lambda: make_wlc(80, seed=101)), 1,
+                "11daf396e541f5d9a204702aca06884151fd676af6d44a82a6713abdfab17e62"),
+    "wlc-104": (_tpcds(0.01, lambda: make_wlc(80, seed=104)), 1,
+                "194c8a0622c6ae0bf515f5debc99abafe479b9c5a284a8f6c78f9b20b6ec002e"),
+    "wls-202-sf0.1": (_tpcds(0.1, lambda: make_wls(80, seed=202)), 1,
+                      "d13df3fb6a0c881ff1ddd75c18a72f0c6e3324c58ccbf8db6f08384cf02ffcd8"),
+    "job-lite-303": (_JOB, 1,
+                     "180565b65d56d1dbe7bd36c9a1d8613abd6a89396872796b536c5b6398531b8b"),
+    "job-lite-303-x10": (_JOB, 10,
+                         "ec068b439a2369b815007b9a92262253cff7714481012921b1ef6c4a74938d9e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_summary_digest_is_pinned(name):
+    (make_schema, make_db, make_queries), scale, digest = GOLDEN[name]
+    schema, db = make_schema(), make_db()
+    ccs = hydra.scale_ccs(workload.client_ccs(schema, db, make_queries()), scale)
+    assert summary_digest(hydra.regenerate(schema, ccs).summary) == digest

@@ -95,6 +95,13 @@ class TestToyEndToEnd:
         ccs = rewrite_ccs(sch, raw)
         return sch, ccs, regenerate(sch, ccs)
 
+    def test_timings_per_view_sum_to_stage_totals(self, result):
+        _, _, res = result
+        t = res.timings
+        assert list(t.views) == list(res.formulations)
+        assert sum(f for f, _ in t.views.values()) == pytest.approx(t.formulate_s)
+        assert sum(s for _, s in t.views.values()) == pytest.approx(t.solve_s)
+
     def test_relation_sizes_close_to_original(self, result):
         sch, ccs, res = result
         # r is exact; s and t may gain repair tuples (positive-only error).
