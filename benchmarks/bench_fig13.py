@@ -6,7 +6,8 @@ per view, its formulate and solve wall times (``Timings.views``), its
 label-only region count (the sub-views partitioned on their CC labels
 alone, the count the benchmark's ``regions.label_regions`` counter reports
 in ``hydrabench/layers.py``; repeated here so this script needs only
-``repro``), and its LP variables, rows and nonzeros. WLc-100
+``repro``), its LP variables, rows and nonzeros, and the analytic size of
+DataSynth's grid (``∏ ℓᵢ`` summed over its sub-views, Fig 12). WLc-100
 (``make_wlc()``'s default: 100 queries) is formulated only: its solve on
 the dense simplex tableau takes minutes (ROADMAP item 2).
 
@@ -57,12 +58,14 @@ def lp_size(form) -> dict:
         "lp_vars": form.n_vars,
         "lp_rows": len(form.system.rows),
         "lp_nnz": sum(len(t) for t, _ in form.system.rows),
+        "grid_vars_analytic": form.grid_vars_analytic,
     }
 
 
 def totals(queries: int, seed: int, ccs, views: dict) -> dict:
     out = {"queries": queries, "query_seed": seed, "ccs": len(ccs)}
-    for key in ("formulate_s", "label_regions", "lp_vars", "lp_rows", "lp_nnz"):
+    for key in ("formulate_s", "label_regions", "lp_vars", "lp_rows", "lp_nnz",
+                "grid_vars_analytic"):
         out[key] = round(sum(v[key] for v in views.values()), 3)
     return out
 

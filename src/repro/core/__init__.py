@@ -8,8 +8,8 @@ Modules are layered bottom-up:
   planner with its pandas and Spark executors.
 - :mod:`repro.core.preprocess` — DataSynth's view/sub-view decomposition.
 - :mod:`repro.core.regions` / :mod:`repro.core.grid` — HYDRA's
-  region-partitioning (Algorithms 1 & 2, one vectorized partitioner) vs
-  DataSynth's grid-partitioning.
+  region-partitioning (Algorithms 1 & 2, one sweep) vs DataSynth's
+  grid-partitioning, the same sweep with every attribute cut.
 - :mod:`repro.core.lp` / :mod:`repro.core.solver` — LP formulation and the
   simplex feasibility substrate standing in for Z3.
 - :mod:`repro.core.align` / :mod:`repro.core.summary` — deterministic

@@ -3,9 +3,12 @@
 Replaces DataSynth's sampling with HYDRA's alignment strategy:
 
 1. **Ordering** — sub-views (maximal cliques of the chordal view-graph) are
-   ordered greedily so that each new sub-view's intersection with the
+   ordered along a junction tree, Prim's maximum-weight spanning tree over
+   separator sizes, so that each new sub-view's intersection with the
    already-merged attributes is contained in a single previous sub-view
-   (the running-intersection property; §5.1.1's separator condition).
+   (the running-intersection property; §5.1.1's separator condition). An
+   order that breaks it raises ``ValueError`` instead of merging on a key
+   whose joint marginal the LP never constrained.
 2. **Align** — the current view solution and the next sub-view solution are
    sorted on their common attributes, then rows are *split* so corresponding
    rows carry identical NumTuples (§5.1.2). The LP's consistency constraints
@@ -38,37 +41,35 @@ class SubViewSolution:
 
 
 def order_subviews(sols: list[SubViewSolution]) -> list[SubViewSolution]:
-    """Greedy running-intersection ordering of sub-view solutions.
+    """Running-intersection ordering of sub-view solutions: Prim's
+    maximum-weight spanning tree over separator sizes.
 
-    At each step, pick the sub-view whose attribute intersection with the
-    visited set is (a) non-empty when any connected candidate remains and
-    (b) contained within a single previously chosen sub-view — the §5.1.1
-    separator condition, guaranteed satisfiable because sub-views are
-    maximal cliques of a chordal graph. Disconnected components are started
-    fresh (intersection empty is then allowed).
+    Start from the largest sub-view (ties by attribute names); then, at each
+    step, add the remaining sub-view with the largest overlap with any one
+    sub-view already chosen (ties to the earliest in the start order). A
+    sub-view overlapping none starts a new component. The maximal cliques
+    of a chordal graph have a junction tree, which this finds, so each new
+    sub-view's overlap with all earlier ones lies inside one of them — the
+    §5.1.1 separator condition. Raises ``ValueError`` where it does not.
     """
-    if not sols:
-        return []
-    remaining = list(sols)
-    # Deterministic start: largest sub-view, ties by attribute names.
-    remaining.sort(key=lambda s: (-len(s.attrs), s.attrs))
-    order = [remaining.pop(0)]
-    visited_attrs = set(order[0].attrs)
-    chosen_sets = [set(order[0].attrs)]
+    remaining = sorted(sols, key=lambda s: (-len(s.attrs), s.attrs))
+    order: list[SubViewSolution] = []
+    visited: set[str] = set()
+    weight = [0] * len(remaining)  # overlap with the closest chosen sub-view
     while remaining:
-        pick = None
-        for i, s in enumerate(remaining):
-            common = set(s.attrs) & visited_attrs
-            if common and any(common <= cs for cs in chosen_sets):
-                pick = i
-                break
-        if pick is None:
-            # No connected candidate — start a new component.
-            pick = 0
-        s = remaining.pop(pick)
+        i = weight.index(max(weight))
+        s = remaining.pop(i)
+        del weight[i]
+        attrs = set(s.attrs)
+        common = attrs & visited
+        if common and not any(common <= set(o.attrs) for o in order):
+            raise ValueError(
+                f"sub-view {s.attrs} breaks the running intersection: its overlap "
+                f"{sorted(common)} with the earlier sub-views lies in no one of them"
+            )
         order.append(s)
-        visited_attrs |= set(s.attrs)
-        chosen_sets.append(set(s.attrs))
+        visited |= attrs
+        weight = [max(w, len(attrs & set(r.attrs))) for w, r in zip(weight, remaining)]
     return order
 
 

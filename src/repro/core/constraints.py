@@ -9,15 +9,14 @@ restrictions; each per-attribute restriction is an integer interval
 Predicates are evaluated in three forms used across the pipeline:
 
 - on a point (dict of attr → value) — tuple-level checks in tests,
-- on a *box* (dict of attr → Interval), or on int64 arrays of boxes
-  (:meth:`Predicate.box_mask`) — grid-cell labelling, valid because cells
-  never straddle a constraint boundary,
+- on a *box* (dict of attr → Interval) — valid on boxes that never
+  straddle a constraint boundary, such as grid cells,
 - on pandas columns — vectorized AQP cardinality checks and metrics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 import pandas as pd
@@ -136,21 +135,6 @@ class Predicate:
 
     def matches_box(self, box: Mapping[str, Interval]) -> bool:
         return self.is_true or any(c.matches_box(box) for c in self.conjuncts)
-
-    def box_mask(self, attrs: Sequence[str], los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        """:meth:`matches_box` over an array of boxes: row *i* of the int64
-        ``los``/``his`` arrays (columns in ``attrs`` order) is box *i*."""
-        if self.is_true:
-            return np.ones(len(los), dtype=bool)
-        m = np.zeros(len(los), dtype=bool)
-        for c in self.conjuncts:
-            cm = np.ones(len(los), dtype=bool)
-            for a, iv in c.restrictions:
-                if a in attrs:
-                    d = attrs.index(a)
-                    cm &= (los[:, d] >= iv.lo) & (his[:, d] <= iv.hi)
-            m |= cm
-        return m
 
     def mask(self, pdf: pd.DataFrame) -> np.ndarray:
         if self.is_true:

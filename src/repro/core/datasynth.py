@@ -189,15 +189,14 @@ def regenerate_datasynth(
     schema: Schema,
     ccs: list[CC],
     *,
-    grid_cell_cap: int | None = None,
     seed: int = 0,
 ) -> DataSynthResult:
     """Full DataSynth pipeline: grid LP → sampled views → relations.
 
-    Raises :class:`repro.core.grid.GridTooLarge` when the grid formulation
-    exceeds the cap (the paper's WLc outcome).
+    Raises :class:`repro.core.grid.GridTooLarge` when a sub-view's grid
+    exceeds :data:`repro.core.grid.CELL_CAP` (the paper's WLc outcome).
     """
-    base = regenerate(schema, ccs, mode="grid", grid_cell_cap=grid_cell_cap)
+    base = regenerate(schema, ccs, mode="grid")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     instances = {

@@ -43,7 +43,6 @@ class HydraResult:
     summary: DatabaseSummary
     formulations: dict[str, ViewFormulation]
     timings: Timings = field(default_factory=Timings)
-    mode: str = "region"
 
     def n_vars(self, view: str) -> int:
         return self.formulations[view].n_vars
@@ -57,21 +56,20 @@ def regenerate(
     ccs: list[CC],
     *,
     mode: str = "region",
-    grid_cell_cap: int | None = None,
 ) -> HydraResult:
     """Run the full vendor-site pipeline and build the database summary.
 
     ``mode="grid"`` swaps in DataSynth's partitioning (used by the baseline
     and the Fig 12/13 comparisons); it raises
-    :class:`repro.core.grid.GridTooLarge` when the formulation is beyond
-    the solvable cap, reproducing the paper's solver-crash outcome.
+    :class:`repro.core.grid.GridTooLarge` when a sub-view's grid is beyond
+    :data:`repro.core.grid.CELL_CAP`, reproducing the paper's solver-crash outcome.
     """
     timings = Timings()
     plans = plan_views(schema, ccs)
     forms: dict[str, ViewFormulation] = {}
     for view, plan in plans.items():
         t0 = time.perf_counter()
-        form = formulate_view(plan, mode=mode, grid_cell_cap=grid_cell_cap)
+        form = formulate_view(plan, mode=mode)
         t1 = time.perf_counter()
         solve_view(form)
         t2 = time.perf_counter()
@@ -82,9 +80,7 @@ def regenerate(
     t0 = time.perf_counter()
     summary = build_database_summary(schema, forms)
     timings.summary_s = time.perf_counter() - t0
-    return HydraResult(
-        schema=schema, summary=summary, formulations=forms, timings=timings, mode=mode
-    )
+    return HydraResult(schema=schema, summary=summary, formulations=forms, timings=timings)
 
 
 def scale_ccs(ccs: list[CC], factor: float) -> list[CC]:

@@ -10,7 +10,7 @@ then contains (Figure 7):
 - per sub-view, ``sum of its variables = |R|`` (the total-size CC),
 - per CC and per sub-view that covers the CC's attributes, an equality over
   the variables whose region label includes the CC,
-- *consistency constraints* (§4.2 end): both partitioners cut each shared
+- *consistency constraints* (§4.2 end): both modes cut each shared
   attribute at the CC boundaries of every sub-view carrying it, so a
   region's interval on a shared attribute is exactly one cell of that
   grid; for every pair of sub-views sharing attributes, the marginals are
@@ -37,7 +37,7 @@ import numpy as np
 
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
-from .regions import Region, Regions, partition_lp_regions
+from .regions import Region, Regions, cut_points, partition_lp_regions
 from .solver import LinearSystem, Terms, round_solution, solve_feasible
 
 
@@ -104,23 +104,22 @@ def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, np.nda
     return cells
 
 
-def formulate_view(
-    plan: ViewPlan, *, mode: str = "region", grid_cell_cap: int | None = None
-) -> ViewFormulation:
+def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
     """Build the LP for one view. ``mode`` ∈ {"region", "grid"}.
 
-    Raises :class:`repro.core.grid.GridTooLarge` in grid mode when the cell
-    count exceeds the cap — the reproduction of the paper's solver crash.
+    Raises :class:`repro.core.grid.GridTooLarge` in grid mode when a
+    sub-view's cell count exceeds :data:`repro.core.grid.CELL_CAP` — the
+    reproduction of the paper's solver crash.
     """
     if mode not in ("region", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
 
     # 1. Assign CCs to sub-views and find the shared-attribute boundaries
     #    needed for cross-sub-view consistency. Boundaries come from
-    #    CC-predicate constants only (the union over sub-views carrying
-    #    the attribute): alignment pairs rows within a cell, and a cell
-    #    that straddles no CC boundary pairs only CC-equivalent values —
-    #    finer (incidental box-edge) refinement would multiply LP
+    #    CC-predicate constants only (those of every non-TRUE CC, each of
+    #    which some sub-view carries): alignment pairs rows within a cell,
+    #    and a cell that straddles no CC boundary pairs only CC-equivalent
+    #    values — finer (incidental box-edge) refinement would multiply LP
     #    variables without improving fidelity.
     sv_cc_idx: list[list[int]] = []
     for sv in plan.subviews:
@@ -143,19 +142,8 @@ def formulate_view(
         for a in sv:
             attr_count[a] = attr_count.get(a, 0) + 1
     shared_attrs = {a for a, n in attr_count.items() if n > 1}
-    boundaries: dict[str, list[int]] = {}
-    if shared_attrs:
-        points: dict[str, set[int]] = {a: set() for a in shared_attrs}
-        for idxs in sv_cc_idx:
-            for cc_idx in idxs:
-                for conj in plan.ccs[cc_idx].predicate.conjuncts:
-                    for a, iv in conj.restrictions:
-                        if a in shared_attrs:
-                            dom = plan.domain[a]
-                            for p in (iv.lo, iv.hi):
-                                if dom.lo < p < dom.hi:
-                                    points[a].add(p)
-        boundaries = {a: sorted(points[a]) for a in shared_attrs}
+    encoded_ccs = [plan.ccs[i] for i in sorted(encoded)]
+    boundaries = {a: cut_points(a, plan.domain[a], encoded_ccs) for a in shared_attrs}
 
     # 2. Partition each sub-view against the CCs it can express, cut at
     #    the shared-attribute boundaries.
@@ -169,8 +157,7 @@ def formulate_view(
         if mode == "region":
             regions = partition_lp_regions(sv, domain, cc_objs, sh, boundaries)
         else:
-            kwargs = {} if grid_cell_cap is None else {"cell_cap": grid_cell_cap}
-            regions = grid_partition(sv, domain, cc_objs, sh, boundaries, **kwargs)
+            regions = grid_partition(sv, domain, cc_objs, sh, boundaries)
         # Partitioning labels regions with indices into cc_objs; rename them
         # to indices into the view's full CC list.
         regions = regions.relabel(sv_ccs)

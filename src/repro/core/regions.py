@@ -14,12 +14,14 @@ sub-view's attributes, in order: Algorithm 2's per-dimension refinement,
 with pieces keyed by their *state* rather than their geometry. A state is
 the set of sub-constraints still alive (satisfied on every attribute swept
 so far) plus the shared-attribute cells chosen so far. Each attribute's
-domain is cut into elementary intervals at every CC constant on it (and at
-the boundaries, if it is shared); a state's child on an interval drops the
-sub-constraints whose interval misses it. Points in one state have the same
-future, so children with equal states are one piece, and the working set
-follows the states, not box fragments. A final state's label is the TRUE
-CCs plus every CC with a live sub-constraint.
+domain is cut into elementary intervals at every CC constant on it
+(:func:`cut_points`), and at the boundaries if it is shared; a state's
+child on an interval drops the sub-constraints whose interval misses it.
+Points in one state have the same future, so children with equal states
+are one piece, and the working set follows the states, not box fragments.
+A final state's label is the TRUE CCs plus every CC with a live
+sub-constraint. DataSynth's grid is the sweep with every attribute shared
+(:func:`repro.core.grid.grid_partition`): each cell is then its own state.
 
 A region is carried by the elementary cell at its lexicographically first
 point: the LP assigns it one variable, and the summary generator places its
@@ -145,6 +147,17 @@ def _first_occurrences(key: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(key, return_index=True)[1])
 
 
+def cut_points(attr: str, domain: Interval, ccs: Sequence[CC]) -> list[int]:
+    """Where ``attr`` is cut: the constants of the CCs' sub-constraints on it
+    that lie strictly inside ``domain``, ascending."""
+    points = set()
+    for c in sub_constraints(ccs):
+        r = c.restriction(attr)
+        if r is not None:
+            points.update(p for p in (r.lo, r.hi) if domain.lo < p < domain.hi)
+    return sorted(points)
+
+
 def partition_lp_regions(
     attrs: Sequence[str],
     domain: Mapping[str, Interval],
@@ -183,7 +196,7 @@ def partition_lp_regions(
     for a in attrs:
         dom = domain[a]
         proj = [(si, r) for si, c in enumerate(subs) if (r := c.restriction(a)) is not None]
-        points = {p for _, r in proj for p in (r.lo, r.hi) if dom.lo < p < dom.hi}
+        points = set(cut_points(a, dom, ccs))
         if a in shared:
             bounds = {p for p in boundaries[a] if dom.lo < p < dom.hi}
             if not points <= bounds:

@@ -1,5 +1,8 @@
 """Align/merge tests — the deterministic replacement for sampling (§5.1)."""
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.align import (
     SubViewSolution,
@@ -8,10 +11,34 @@ from repro.core.align import (
     order_subviews,
 )
 from repro.core.constraints import Interval
+from repro.core.preprocess import (
+    _fuse_fat_separators,
+    _maximal_cliques_chordal,
+    _min_fill_chordalize,
+)
 
 
 def iv(lo, hi):
     return Interval(lo, hi)
+
+
+def satisfies_rip(order: list[SubViewSolution]) -> bool:
+    """Each sub-view's overlap with the earlier ones lies in one of them."""
+    for i, s in enumerate(order):
+        earlier = order[:i]
+        common = set(s.attrs) & {a for o in earlier for a in o.attrs}
+        if common and not any(common <= set(o.attrs) for o in earlier):
+            return False
+    return True
+
+
+@st.composite
+def graphs(draw):
+    """A random graph of at most 9 nodes: (nodes, edge set)."""
+    nodes = [f"v{i}" for i in range(draw(st.integers(1, 9)))]
+    pairs = list(itertools.combinations(nodes, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return nodes, {frozenset(p) for p, k in zip(pairs, keep) if k}
 
 
 class TestOrderSubviews:
@@ -44,6 +71,37 @@ class TestOrderSubviews:
 
     def test_empty(self):
         assert order_subviews([]) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph=graphs(), fuse=st.booleans())
+    def test_rip_on_random_chordalized_graphs(self, graph, fuse):
+        """The sub-views of any view graph, chordalized, split into maximal
+        cliques and optionally fused, are ordered with the running
+        intersection property."""
+        nodes, edges = graph
+        chordal, elim = _min_fill_chordalize(nodes, edges)
+        adj = {v: set() for v in nodes}
+        for a, b in map(tuple, chordal):
+            adj[a].add(b)
+            adj[b].add(a)
+        cliques = _maximal_cliques_chordal(nodes, adj, elim)
+        if fuse:
+            cliques = _fuse_fat_separators(cliques)
+        sols = [SubViewSolution(tuple(sorted(c)), []) for c in cliques]
+        order = order_subviews(sols)
+        assert sorted(s.attrs for s in order) == sorted(s.attrs for s in sols)
+        assert satisfies_rip(order)
+
+    def test_raises_without_junction_tree(self):
+        # A triangle's edges as sub-views: the third's overlap {a, c} with
+        # the first two lies in neither.
+        sols = [
+            SubViewSolution(("a", "b"), []),
+            SubViewSolution(("b", "c"), []),
+            SubViewSolution(("a", "c"), []),
+        ]
+        with pytest.raises(ValueError, match="running intersection"):
+            order_subviews(sols)
 
 
 class TestAlignAndMerge:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.datasynth import regenerate_datasynth
+from repro.core import grid
 from repro.core.grid import GridTooLarge
 from repro.core.hydra import regenerate
 from repro.core.metrics import (
@@ -86,10 +87,11 @@ class TestDataSynthPipeline:
             2, sum(ds_result.extra_tuples.values()) + 2
         )
 
-    def test_grid_cap_crashes_like_the_paper(self, toy_ccs):
+    def test_grid_cap_crashes_like_the_paper(self, toy_ccs, monkeypatch):
         sch, ccs = toy_ccs
+        monkeypatch.setattr(grid, "CELL_CAP", 2)
         with pytest.raises(GridTooLarge):
-            regenerate_datasynth(sch, ccs, grid_cell_cap=2)
+            regenerate_datasynth(sch, ccs)
 
     def test_deterministic_given_seed(self, toy_ccs):
         sch, ccs = toy_ccs

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from repro.core import grid
 from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
 from repro.core.grid import (
     GridTooLarge,
@@ -97,15 +98,14 @@ class TestGridPartition:
                     i for i, cc in enumerate(ccs) if cc.predicate.matches_point(point)
                 ) == r.label
 
-    def test_shared_attribute_cut_at_boundaries(self):
+    def test_shared_attribute_cut_at_boundaries(self, monkeypatch):
         """Cells are cut at the consistency boundaries too, so each cell's
         interval on a shared attribute is one boundary cell; the cap still
         counts the unrefined ∏ℓᵢ."""
         ccs = person_ccs()
         bounds = [20, 40, 50, 60]
-        cells = grid_partition(
-            ("age", "salary"), PERSON_DOMAIN, ccs, ("age",), {"age": bounds}, cell_cap=16
-        )
+        monkeypatch.setattr(grid, "CELL_CAP", 16)
+        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, ("age",), {"age": bounds})
         cuts = [0] + bounds + [100]
         assert {(c.box["age"].lo, c.box["age"].hi) for c in cells} == set(zip(cuts, cuts[1:]))
         assert len(cells) == 5 * 4
@@ -113,14 +113,15 @@ class TestGridPartition:
         plain = {c.label for c in grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, (), {})}
         assert {c.label for c in cells} == plain
 
-    def test_cap_raises_grid_too_large(self):
+    def test_cap_raises_grid_too_large(self, monkeypatch):
         attrs = tuple(f"a{i}" for i in range(10))
         domain = {a: Interval(0, 100) for a in attrs}
         ccs = [CC("v", Predicate.of(**{a: (0, 50)}), 1) for a in attrs] + [
             total_cc("v", 100)
         ]
+        monkeypatch.setattr(grid, "CELL_CAP", 100)
         with pytest.raises(GridTooLarge) as exc:
-            grid_partition(attrs, domain, ccs, (), {}, cell_cap=100)
+            grid_partition(attrs, domain, ccs, (), {})
         assert exc.value.n_cells == 1024
 
     def test_cells_in_product_order_labelled_per_box(self):

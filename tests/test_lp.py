@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import CC, Interval, Predicate, total_cc
+from repro.core import grid
 from repro.core.grid import GridTooLarge
 from repro.core.lp import formulate_view, solve_view
 from repro.core.preprocess import ViewPlan, plan_views, rewrite_ccs, RawCC
@@ -62,9 +63,10 @@ class TestFormulatePersonView:
         )
         assert got == 1000
 
-    def test_grid_cap_propagates(self):
+    def test_grid_cap_propagates(self, monkeypatch):
+        monkeypatch.setattr(grid, "CELL_CAP", 4)
         with pytest.raises(GridTooLarge):
-            formulate_view(person_plan(), mode="grid", grid_cell_cap=4)
+            formulate_view(person_plan(), mode="grid")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

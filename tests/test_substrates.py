@@ -25,6 +25,8 @@ import pandas as pd
 import pytest
 
 from repro.core import hydra, metrics, preprocess, tuplegen, workload
+from repro.core.constraints import Interval
+from repro.core.grid import attribute_intervals
 from repro.core.lp import formulate_view
 from repro.job import generator as job_generator
 from repro.job.schema import job_schema
@@ -96,6 +98,33 @@ def test_shared_intervals_are_boundary_cells(plans, mode):
                 assert intervals <= cells[a], (plan.view, s.attrs, a)
                 n_checked += len(intervals)
     assert n_checked > 0
+
+
+def test_grid_cells_in_product_order_labelled_per_box(plans):
+    """Grid mode at workload scale: every sub-view's regions are the
+    ``itertools.product`` of its per-attribute intervals (a shared attribute
+    cut at its boundary cells), each cell labelled with the sub-view's CCs
+    that ``matches_box`` holds on it."""
+    n_cells = 0
+    for plan in plans.values():
+        cells = boundary_cells(plan)
+        form = formulate_view(plan, mode="grid")
+        for s in form.subviews:
+            ccs = [plan.ccs[i] for i in s.ccs]
+            per_attr = [
+                [Interval(lo, hi) for lo, hi in sorted(cells[a])]
+                if a in cells
+                else attribute_intervals(a, plan.domain[a], ccs)
+                for a in s.attrs
+            ]
+            expected = []
+            for combo in itertools.product(*per_attr):
+                box = dict(zip(s.attrs, combo))
+                label = frozenset(i for i in s.ccs if plan.ccs[i].predicate.matches_box(box))
+                expected.append((box, label))
+            assert [(r.box, r.label) for r in s.regions] == expected, (plan.view, s.attrs)
+            n_cells += len(expected)
+    assert n_cells > 0
 
 
 def oracle_rows(form) -> list[tuple[list[tuple[int, float]], float]]:
@@ -180,7 +209,7 @@ _JOB = (job_schema, lambda: job_generator.generate_client_db(0.01, seed=7),
 #: name: ((schema, client DB, queries) makers, CC scale, summary digest)
 GOLDEN = {
     "wlc-101": (_tpcds(0.01, lambda: make_wlc(80, seed=101)), 1,
-                "11daf396e541f5d9a204702aca06884151fd676af6d44a82a6713abdfab17e62"),
+                "3f9da8f2b66e2c927fa2982dfeb02e4ff3fd3f925f45ae3e09a2b945014c1e3d"),
     "wlc-104": (_tpcds(0.01, lambda: make_wlc(80, seed=104)), 1,
                 "194c8a0622c6ae0bf515f5debc99abafe479b9c5a284a8f6c78f9b20b6ec002e"),
     "wls-202-sf0.1": (_tpcds(0.1, lambda: make_wls(80, seed=202)), 1,
