@@ -18,22 +18,23 @@ Replaces DataSynth's sampling with HYDRA's alignment strategy:
 3. **Merge** — a positional join of the aligned solutions, common attributes
    represented once (§5.1.3).
 
-Rows are (box, count) pairs; boxes keep their intervals until the summary
-instantiates left boundaries (§5.2).
+Rows are (point, count) pairs. A point is a tuple of values in the
+solution's attribute order: the lows of a solved region's box, where §5.2
+places its NumTuples (:meth:`repro.core.lp.ViewFormulation.subview_solutions`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .regions import Box, box_key
+Point = tuple[int, ...]
 
 
 @dataclass
 class SubViewSolution:
-    """One sub-view's solved rows: disjoint boxes with NumTuples counts."""
+    """One sub-view's solved rows: points over ``attrs`` with NumTuples counts."""
 
     attrs: tuple[str, ...]
-    rows: list[tuple[Box, int]]
+    rows: list[tuple[Point, int]]
 
     @property
     def total(self) -> int:
@@ -73,55 +74,41 @@ def order_subviews(sols: list[SubViewSolution]) -> list[SubViewSolution]:
     return order
 
 
-def _common_key(box: Box, common: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(box[a].lo for a in common)
-
-
 def align_and_merge(
-    view_rows: list[tuple[Box, int]],
+    view_rows: list[tuple[Point, int]],
     view_attrs: tuple[str, ...],
     sub: SubViewSolution,
-) -> tuple[list[tuple[Box, int]], tuple[str, ...]]:
+) -> tuple[list[tuple[Point, int]], tuple[str, ...]]:
     """One iteration of Algorithm 3: align ``sub`` with the partial view
     solution and merge positionally.
 
-    Returns the new (rows, attrs). With an empty partial solution the
-    sub-view solution is adopted wholesale.
+    Both sides are sorted on their common attributes' values (in view
+    order), then on the whole point; with nothing in common only the equal
+    totals matter. A merged row is the left point followed by the right
+    point's values on the new attributes. Returns the new (rows, attrs).
+    With an empty partial solution the sub-view solution is adopted wholesale.
     """
     if not view_attrs:
         return list(sub.rows), tuple(sub.attrs)
 
-    common = tuple(a for a in view_attrs if a in sub.attrs)
-    new_attrs = view_attrs + tuple(a for a in sub.attrs if a not in view_attrs)
+    common = [a for a in view_attrs if a in sub.attrs]
+    new = [k for k, a in enumerate(sub.attrs) if a not in view_attrs]
+    new_attrs = view_attrs + tuple(sub.attrs[k] for k in new)
 
-    if not common:
-        # Disconnected sub-view: align on the (trivial) empty key — the
-        # solutions only need equal totals, then merge positionally.
-        left = sorted(view_rows, key=lambda rc: box_key(rc[0], view_attrs))
-        right = sorted(sub.rows, key=lambda rc: box_key(rc[0], sub.attrs))
-    else:
-        left = sorted(
-            view_rows,
-            key=lambda rc: (_common_key(rc[0], common), box_key(rc[0], view_attrs)),
-        )
-        right = sorted(
-            sub.rows,
-            key=lambda rc: (_common_key(rc[0], common), box_key(rc[0], sub.attrs)),
-        )
+    lcols = [view_attrs.index(a) for a in common]
+    rcols = [sub.attrs.index(a) for a in common]
+    left = sorted(view_rows, key=lambda rc: (tuple(rc[0][k] for k in lcols), rc[0]))
+    right = sorted(sub.rows, key=lambda rc: (tuple(rc[0][k] for k in rcols), rc[0]))
 
-    merged: list[tuple[Box, int]] = []
+    merged: list[tuple[Point, int]] = []
     i = j = 0
     li, lj = 0, 0  # counts already consumed from left[i] / right[j]
     while i < len(left) and j < len(right):
-        lbox, lc = left[i]
-        rbox, rc = right[j]
+        lpoint, lc = left[i]
+        rpoint, rc = right[j]
         take = min(lc - li, rc - lj)
         if take > 0:
-            nb = dict(lbox)
-            for a in sub.attrs:
-                if a not in view_attrs:
-                    nb[a] = rbox[a]
-            merged.append((nb, take))
+            merged.append((lpoint + tuple(rpoint[k] for k in new), take))
         li += take
         lj += take
         if li >= lc:
@@ -132,15 +119,10 @@ def align_and_merge(
     # last row of the exhausted side so no tuples are dropped; the resulting
     # (tiny) volumetric error is measured, not hidden.
     while i < len(left):
-        lbox, lc = left[i]
+        lpoint, lc = left[i]
         rem = lc - li
         if rem > 0 and merged:
-            nb = dict(lbox)
-            last_box, _ = merged[-1]
-            for a in sub.attrs:
-                if a not in view_attrs:
-                    nb[a] = last_box[a]
-            merged.append((nb, rem))
+            merged.append((lpoint + merged[-1][0][len(view_attrs):], rem))
         elif rem > 0:
             raise ValueError("cannot align: right side empty")
         i, li = i + 1, 0
@@ -152,9 +134,9 @@ def align_and_merge(
 
 def build_view_solution(
     sols: list[SubViewSolution],
-) -> tuple[list[tuple[Box, int]], tuple[str, ...]]:
+) -> tuple[list[tuple[Point, int]], tuple[str, ...]]:
     """Algorithm 3 end-to-end: order, then iteratively align and merge."""
-    rows: list[tuple[Box, int]] = []
+    rows: list[tuple[Point, int]] = []
     attrs: tuple[str, ...] = ()
     for sub in order_subviews(sols):
         rows, attrs = align_and_merge(rows, attrs, sub)

@@ -64,16 +64,12 @@ class Conjunct:
         )
 
     @property
-    def as_dict(self) -> dict[str, Interval]:
-        return dict(self.restrictions)
-
-    @property
     def attrs(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.restrictions)
 
     def restriction(self, attr: str) -> Interval | None:
         """Projection to one dimension (Definition 4.5); None means "true"."""
-        return self.as_dict.get(attr)
+        return next((iv for a, iv in self.restrictions if a == attr), None)
 
     def matches_point(self, point: Mapping[str, int]) -> bool:
         return all(iv.contains(point[a]) for a, iv in self.restrictions)

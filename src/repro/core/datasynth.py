@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .align import SubViewSolution, order_subviews
+from .align import order_subviews
 from .constraints import CC
 from .hydra import Timings, regenerate
 from .lp import ViewFormulation
@@ -42,9 +42,6 @@ class DataSynthResult:
     timings: Timings = field(default_factory=Timings)
     instantiate_s: float = 0.0
 
-    def n_vars(self, view: str) -> int:
-        return self.formulations[view].n_vars
-
 
 def _sample_view_instance(
     form: ViewFormulation, rng: np.random.Generator
@@ -57,28 +54,10 @@ def _sample_view_instance(
     given the shared attributes. Values are cell left boundaries, matching
     the granularity both systems instantiate at.
     """
-    sols = [
-        SubViewSolution(
-            attrs=s.attrs,
-            rows=[(r.box, c) for r, c in form.subview_solution(s)],
-        )
-        for s in form.subviews
-    ]
-    ordered = order_subviews(sols)
-    k = form.plan.total
-    inst: pd.DataFrame | None = None
-    for sub in ordered:
-        vals = np.array(
-            [[box[a].lo for a in sub.attrs] for box, _ in sub.rows], dtype=np.int64
-        )
+    inst = pd.DataFrame(index=range(form.plan.total))
+    for sub in order_subviews(form.subview_solutions()):
+        vals = np.array([point for point, _ in sub.rows], dtype=np.int64)
         counts = np.array([c for _, c in sub.rows], dtype=np.float64)
-        if inst is None:
-            p = counts / counts.sum()
-            draws = rng.multinomial(k, p)
-            rows = np.repeat(np.arange(len(sub.rows)), draws)
-            rng.shuffle(rows)
-            inst = pd.DataFrame(vals[rows], columns=list(sub.attrs))
-            continue
         common = [a for a in sub.attrs if a in inst.columns]
         new_attrs = [a for a in sub.attrs if a not in inst.columns]
         if not new_attrs:
@@ -126,8 +105,6 @@ def _sample_view_instance(
                     out_cols[a][idxs] = chosen[:, j]
         for a in new_attrs:
             inst[a] = out_cols[a]
-    if inst is None:
-        inst = pd.DataFrame(index=range(k))
     # Canonical view attribute order.
     return inst[[a for a in form.plan.attrs if a in inst.columns]]
 

@@ -44,9 +44,6 @@ class HydraResult:
     formulations: dict[str, ViewFormulation]
     timings: Timings = field(default_factory=Timings)
 
-    def n_vars(self, view: str) -> int:
-        return self.formulations[view].n_vars
-
     def n_vars_total(self) -> int:
         return sum(f.n_vars for f in self.formulations.values())
 

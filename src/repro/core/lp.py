@@ -20,9 +20,10 @@ then contains (Figure 7):
 The rows are built from the partitions' arrays (:class:`~repro.core.regions.Regions`):
 a CC's row takes the regions whose label id is one of the labels holding the
 CC, and a consistency row groups the regions by their shared-attribute
-``(lo, hi)`` columns. :class:`~repro.core.regions.Region` objects are built
-only for a solution's nonzero entries. Every non-TRUE CC must fit in some
-sub-view; :func:`formulate_view` raises otherwise.
+``(lo, hi)`` columns. A solved region leaves the LP as a point, the row of
+its box's lows where §5.2 places its NumTuples
+(:meth:`ViewFormulation.subview_solutions`). Every non-TRUE CC must fit in
+some sub-view; :func:`formulate_view` raises otherwise.
 
 CCs arriving from executed AQPs always admit the client data itself as a
 witness, so these LPs are feasible by construction; the solver returns one
@@ -35,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .align import SubViewSolution
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
-from .regions import Region, Regions, cut_points, partition_lp_regions
+from .regions import Regions, cut_points, partition_lp_regions
 from .solver import LinearSystem, Terms, round_solution, solve_feasible
 
 
@@ -72,10 +74,17 @@ class ViewFormulation:
     def n_vars(self) -> int:
         return sum(s.n_vars for s in self.subviews)
 
-    def subview_solution(self, s: SubViewFormulation) -> list[tuple[Region, int]]:
+    def subview_solutions(self) -> list[SubViewSolution]:
+        """Per sub-view, in ``subviews`` order, a row for every nonzero
+        variable: its region's lows (``Regions.los``) and its count."""
         assert self.solution is not None
-        x = self.solution[s.offset : s.offset + s.n_vars]
-        return [(s.regions[i], int(x[i])) for i in np.flatnonzero(x > 0).tolist()]
+        sols = []
+        for s in self.subviews:
+            x = self.solution[s.offset : s.offset + s.n_vars]
+            nz = np.flatnonzero(x > 0)
+            points = map(tuple, s.regions.los[nz].tolist())
+            sols.append(SubViewSolution(s.attrs, list(zip(points, x[nz].tolist()))))
+        return sols
 
 
 def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, np.ndarray]:

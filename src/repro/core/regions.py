@@ -1,7 +1,6 @@
 """HYDRA's region-partitioning (paper §4.2, Algorithms 1 and 2).
 
-A *box* is an axis-aligned product of integer intervals, represented as a
-``dict`` attribute → :class:`~repro.core.constraints.Interval`. Algorithm 1
+A *box* is an axis-aligned product of integer intervals. Algorithm 1
 ("Optimal Partition") labels each point of a sub-view's domain with the set
 of CCs it satisfies; the points of one label are a *region*, an equivalence
 class of :math:`R_\\mathcal{C}` (Lemma 4.3), so the label classes are the
@@ -24,18 +23,20 @@ sub-constraint. DataSynth's grid is the sweep with every attribute shared
 (:func:`repro.core.grid.grid_partition`): each cell is then its own state.
 
 A region is carried by the elementary cell at its lexicographically first
-point: the LP assigns it one variable, and the summary generator places its
-NumTuples at that cell's lows (§5.2's deterministic choice). The sweep keeps
-each state's first point, so regions come out in the lexicographic order of
-their lows. A region's interval on a shared attribute is exactly one
-boundary cell, which the LP's consistency constraints key on; on the other
-attributes the box is one elementary interval, not the class's extent.
+point: the LP assigns it one variable, and a solved region leaves the LP as
+that cell's lows, where the summary generator places its NumTuples (§5.2's
+deterministic choice). The sweep keeps each state's first point, so regions
+come out in the lexicographic order of their lows. A region's interval on a
+shared attribute is exactly one boundary cell, which the LP's consistency
+constraints key on; on the other attributes the box is one elementary
+interval, not the class's extent.
 
-Regions stay columnar from the partitioner to the LP: :class:`Regions`
+Regions stay columnar from the partitioner to the solution: :class:`Regions`
 holds every region's box as a row of int64 ``los``/``his`` arrays and its
-label as an id into a list of the distinct labels. The LP builder reads the
-arrays; a :class:`Region` object is built only where one is read (indexing
-or iterating a :class:`Regions`), e.g. for the nonzero entries of a solution.
+label as an id into a list of the distinct labels. The LP builder and the
+solution read the arrays; indexing or iterating a :class:`Regions` builds
+:class:`Region` objects, whose ``box`` is a ``dict`` attribute →
+:class:`~repro.core.constraints.Interval`, for inspecting a partition.
 """
 from __future__ import annotations
 
@@ -47,13 +48,6 @@ import numpy as np
 
 from .constraints import CC, Interval, sub_constraints
 
-Box = dict[str, Interval]
-
-
-def box_key(box: Box, attrs: Sequence[str]) -> tuple[int, ...]:
-    """Deterministic sort key: interval lows in sub-view attribute order."""
-    return tuple(box[a].lo for a in attrs)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -64,7 +58,7 @@ class Region:
     list) that every point of the class, and so of ``box``, satisfies.
     """
 
-    box: Box
+    box: dict[str, Interval]
     label: frozenset[int]
 
 

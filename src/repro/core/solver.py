@@ -11,10 +11,13 @@ Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 a stall budget, which guarantees termination on degenerate LPs. The
 constraint matrices here have only ±1 coefficients and integral right-hand
 sides, so double-precision pivoting is numerically benign; the returned
-basic feasible solution is verified against the constraints and rounded
-(basic solutions of these network-like systems are integral in practice —
-any residual after rounding is *measured* by the metrics module, mirroring
-the paper's own error reporting, never silently ignored).
+basic feasible solution is verified against the constraints and rounded.
+Basic solutions are not always integral: on the benchmark's wlc-lp
+workload (TPC-DS-lite WLc, 80 queries) 29 variables come out fractional,
+and the rounded point misses its rows by up to 1. That residual is
+*measured* by the metrics module, mirroring the paper's own error
+reporting, never silently ignored; making integrality part of the
+solver's contract is ROADMAP item 2.
 
 :class:`LinearSystem` keeps each row sparse, as an index array and a
 coefficient array. A solve builds the dense phase-1 tableau straight from

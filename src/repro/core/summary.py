@@ -3,9 +3,11 @@
 Pipeline after the per-view LP solutions are integrated by
 :mod:`repro.core.align`:
 
-- **Instantiate** (§5.2): every interval collapses to its left boundary —
-  the deterministic choice that minimizes later referential-integrity
-  repair. Equal-valued rows are coalesced (summing NumTuples).
+- **Instantiate** (§5.2): every row already sits at its regions' left
+  boundaries — the deterministic choice that minimizes later
+  referential-integrity repair — so the merged points are only put in the
+  view's attribute order, and equal-valued rows coalesced (summing
+  NumTuples).
 - **Referential repair** (§5.3): views are visited dependents-first
   (reverse topological order); any borrowed value combination missing from
   the referenced view's solution is added there with NumTuples = 1. The
@@ -26,9 +28,8 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
-from .align import SubViewSolution, build_view_solution
+from .align import build_view_solution
 from .lp import ViewFormulation
-from .regions import Box
 from .schema import Schema
 
 
@@ -81,35 +82,19 @@ class DatabaseSummary:
         return sum(len(r.frame) for r in self.relations.values())
 
 
-def instantiate_view(view: str, rows: list[tuple[Box, int]], attrs: tuple[str, ...]) -> ViewSummary:
-    """§5.2: assign each row's cardinality to the interval left boundaries."""
-    out = [
-        (tuple(box[a].lo for a in attrs), count) for box, count in rows if count > 0
-    ]
-    vs = ViewSummary(view=view, attrs=attrs, rows=out)
-    vs.coalesce()
-    return vs
-
-
 def view_summaries_from_formulations(
     forms: dict[str, ViewFormulation],
 ) -> dict[str, ViewSummary]:
-    """Run align/merge + instantiation for every solved view formulation."""
+    """Run align/merge for every solved view formulation; each summary's
+    points are in the plan's view attribute order, coalesced."""
     out: dict[str, ViewSummary] = {}
     for view, form in forms.items():
-        sols = [
-            SubViewSolution(attrs=s.attrs, rows=[
-                (r.box, c) for r, c in form.subview_solution(s)
-            ])
-            for s in form.subviews
-        ]
-        rows, attrs = build_view_solution(sols)
-        # Canonicalize attribute order to the plan's view order.
+        rows, attrs = build_view_solution(form.subview_solutions())
         canon = form.plan.attrs
-        canon_rows = [
-            ({a: box[a] for a in canon}, c) for box, c in rows
-        ]
-        out[view] = instantiate_view(view, canon_rows, canon)
+        cols = [attrs.index(a) for a in canon]
+        vs = ViewSummary(view, canon, [(tuple(p[k] for k in cols), c) for p, c in rows])
+        vs.coalesce()
+        out[view] = vs
     return out
 
 

@@ -10,16 +10,11 @@ from repro.core.align import (
     build_view_solution,
     order_subviews,
 )
-from repro.core.constraints import Interval
 from repro.core.preprocess import (
     _fuse_fat_separators,
     _maximal_cliques_chordal,
     _min_fill_chordalize,
 )
-
-
-def iv(lo, hi):
-    return Interval(lo, hi)
 
 
 def satisfies_rip(order: list[SubViewSolution]) -> bool:
@@ -106,97 +101,123 @@ class TestOrderSubviews:
 
 class TestAlignAndMerge:
     def test_adopts_first_subview(self):
-        sub = SubViewSolution(("a",), [({"a": iv(0, 10)}, 5)])
+        sub = SubViewSolution(("a",), [((0,), 5)])
         rows, attrs = align_and_merge([], (), sub)
         assert attrs == ("a",)
-        assert rows == [({"a": iv(0, 10)}, 5)]
+        assert rows == [((0,), 5)]
 
     def test_figure8_style_alignment(self):
         """§5.1.2's example shape: solutions (A,B) and (A,C) aligned on A,
         rows split so NumTuples match pairwise, then merged positionally."""
-        ab = [
-            ({"a": iv(0, 40), "b": iv(0, 10)}, 30),
-            ({"a": iv(40, 60), "b": iv(0, 10)}, 30),
-            ({"a": iv(40, 60), "b": iv(10, 20)}, 0),
-        ]
-        ac = SubViewSolution(
-            ("a", "c"),
-            [
-                ({"a": iv(0, 40), "c": iv(0, 5)}, 10),
-                ({"a": iv(0, 40), "c": iv(5, 9)}, 20),
-                ({"a": iv(40, 60), "c": iv(0, 5)}, 30),
-            ],
-        )
+        ab = [((0, 0), 30), ((40, 0), 30), ((40, 10), 0)]
+        ac = SubViewSolution(("a", "c"), [((0, 0), 10), ((0, 5), 20), ((40, 0), 30)])
         rows, attrs = align_and_merge(ab, ("a", "b"), ac)
         assert attrs == ("a", "b", "c")
-        # Row splitting: A=[0,40) row (30) splits into 10 + 20.
-        counts = [(r["a"].lo, c) for r, c in rows]
+        # Row splitting: A=0 row (30) splits into 10 + 20.
+        counts = [(point[0], c) for point, c in rows]
         assert counts == [(0, 10), (0, 20), (40, 30)]
         # Total preserved.
         assert sum(c for _, c in rows) == 60
 
     def test_merge_keeps_common_attr_once(self):
-        ab = [({"a": iv(0, 10), "b": iv(0, 5)}, 7)]
-        ac = SubViewSolution(("a", "c"), [({"a": iv(0, 10), "c": iv(0, 2)}, 7)])
+        ab = [((0, 0), 7)]
+        ac = SubViewSolution(("a", "c"), [((0, 0), 7)])
         rows, attrs = align_and_merge(ab, ("a", "b"), ac)
         assert attrs == ("a", "b", "c")
         assert len(rows) == 1
-        box, c = rows[0]
-        assert set(box) == {"a", "b", "c"} and c == 7
+        point, c = rows[0]
+        assert len(point) == 3 and c == 7
 
     def test_disconnected_merge_positional(self):
-        ab = [({"a": iv(0, 10)}, 4), ({"a": iv(10, 20)}, 6)]
-        xy = SubViewSolution(("x",), [({"x": iv(0, 1)}, 10)])
+        ab = [((0,), 4), ((10,), 6)]
+        xy = SubViewSolution(("x",), [((0,), 10)])
         rows, attrs = align_and_merge(ab, ("a",), xy)
         assert attrs == ("a", "x")
         assert sum(c for _, c in rows) == 10
-        assert all("x" in box for box, _ in rows)
+        assert all(len(point) == 2 for point, _ in rows)
 
     def test_rounding_slack_absorbed(self):
         # Left has 10, right has 9: the extra left tuple must survive.
-        ab = [({"a": iv(0, 10)}, 10)]
-        ac = SubViewSolution(("a", "c"), [({"a": iv(0, 10), "c": iv(0, 2)}, 9)])
+        ab = [((0,), 10)]
+        ac = SubViewSolution(("a", "c"), [((0, 0), 9)])
         rows, _ = align_and_merge(ab, ("a",), ac)
         assert sum(c for _, c in rows) == 10
 
     def test_zero_count_rows_dropped(self):
-        ab = [({"a": iv(0, 10)}, 0), ({"a": iv(10, 20)}, 5)]
-        ac = SubViewSolution(("a", "c"), [({"a": iv(10, 20), "c": iv(0, 2)}, 5)])
+        ab = [((0,), 0), ((10,), 5)]
+        ac = SubViewSolution(("a", "c"), [((10, 0), 5)])
         rows, _ = align_and_merge(ab, ("a",), ac)
         assert all(c > 0 for _, c in rows)
         assert sum(c for _, c in rows) == 5
 
 
+@st.composite
+def matched_solutions(draw):
+    """Rows over (a, b) and over (a, c), in drawn order, whose per-``a``
+    totals are equal; counts may be zero."""
+
+    def split(total: int) -> list[tuple[int, int]]:
+        vals = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=len(vals) - 1,
+                                    max_size=len(vals) - 1)))
+        return list(zip(vals, [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]))
+
+    totals = draw(st.dictionaries(st.integers(0, 5), st.integers(0, 6), min_size=1, max_size=4))
+    ab = [((a, b), c) for a, t in totals.items() for b, c in split(t)]
+    ac = [((a, c), n) for a, t in totals.items() for c, n in split(t)]
+    return draw(st.permutations(ab)), draw(st.permutations(ac))
+
+
+def coalesced(rows, attrs, onto):
+    """Nonzero counts of ``rows`` projected onto the attributes ``onto``."""
+    cols = [attrs.index(a) for a in onto]
+    agg: dict[tuple[int, ...], int] = {}
+    for point, c in rows:
+        key = tuple(point[k] for k in cols)
+        agg[key] = agg.get(key, 0) + c
+    return {k: c for k, c in agg.items() if c}
+
+
+class TestAlignAndMergeProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(sols=matched_solutions())
+    def test_merge_preserves_both_sides(self, sols):
+        ab, ac = sols
+        rows, attrs = align_and_merge(ab, ("a", "b"), SubViewSolution(("a", "c"), ac))
+        assert attrs == ("a", "b", "c")
+        assert coalesced(rows, attrs, ("a", "b")) == coalesced(ab, ("a", "b"), ("a", "b"))
+        assert coalesced(rows, attrs, ("a", "c")) == coalesced(ac, ("a", "c"), ("a", "c"))
+        assert sum(c for _, c in rows) == sum(c for _, c in ab)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sols=matched_solutions(), data=st.data())
+    def test_rounding_slack_keeps_left_total(self, sols, data):
+        """With the right total one off, the left side survives whole."""
+        ab, ac = list(sols[0]), list(sols[1])
+        i = data.draw(st.integers(0, len(ac) - 1))
+        delta = data.draw(st.sampled_from([-1, 1] if ac[i][1] > 0 else [1]))
+        ac[i] = (ac[i][0], ac[i][1] + delta)
+        if sum(c for _, c in ab) == 0:
+            ab[0] = (ab[0][0], 1)
+        if sum(c for _, c in ac) == 0:
+            ac[i] = (ac[i][0], 1)
+        rows, attrs = align_and_merge(ab, ("a", "b"), SubViewSolution(("a", "c"), ac))
+        assert coalesced(rows, attrs, ("a", "b")) == coalesced(ab, ("a", "b"), ("a", "b"))
+        assert sum(c for _, c in rows) == sum(c for _, c in ab)
+
+
 class TestBuildViewSolution:
     def test_chain_of_three_subviews(self):
         sols = [
-            SubViewSolution(
-                ("a", "b"),
-                [
-                    ({"a": iv(0, 1), "b": iv(0, 1)}, 6),
-                    ({"a": iv(1, 2), "b": iv(1, 2)}, 4),
-                ],
-            ),
-            SubViewSolution(
-                ("b", "c"),
-                [
-                    ({"b": iv(0, 1), "c": iv(0, 1)}, 6),
-                    ({"b": iv(1, 2), "c": iv(1, 2)}, 4),
-                ],
-            ),
-            SubViewSolution(
-                ("c", "d"),
-                [
-                    ({"c": iv(0, 1), "d": iv(0, 1)}, 2),
-                    ({"c": iv(0, 1), "d": iv(1, 2)}, 4),
-                    ({"c": iv(1, 2), "d": iv(0, 1)}, 4),
-                ],
-            ),
+            SubViewSolution(("a", "b"), [((0, 0), 6), ((1, 1), 4)]),
+            SubViewSolution(("b", "c"), [((0, 0), 6), ((1, 1), 4)]),
+            SubViewSolution(("c", "d"), [((0, 0), 2), ((0, 1), 4), ((1, 0), 4)]),
         ]
         rows, attrs = build_view_solution(sols)
         assert set(attrs) == {"a", "b", "c", "d"}
         assert sum(c for _, c in rows) == 10
         # b=0 tuples must all carry c=0 (consistency through the chain).
-        for box, c in rows:
-            if box["b"].lo == 0:
-                assert box["c"].lo == 0
+        ib, ic = attrs.index("b"), attrs.index("c")
+        for point, _ in rows:
+            if point[ib] == 0:
+                assert point[ic] == 0

@@ -104,4 +104,4 @@ class TestDataSynthPipeline:
         sch, ccs = toy_ccs
         hy = regenerate(sch, ccs)
         for view in sch.relations:
-            assert ds_result.n_vars(view) >= hy.n_vars(view)
+            assert ds_result.formulations[view].n_vars >= hy.formulations[view].n_vars

@@ -134,13 +134,19 @@ class TestConsistencyAcrossSubviews:
 
 
     def test_subview_solution_is_nonzero_regions(self):
+        """Each nonzero variable leaves as its region's left boundaries (§5.2)
+        and its count, in variable order, one solution per sub-view."""
         form = solve_view(formulate_view(self._plan(), mode="region"))
         x = form.solution
-        for s in form.subviews:
+        sols = form.subview_solutions()
+        assert [sol.attrs for sol in sols] == [s.attrs for s in form.subviews]
+        for s, sol in zip(form.subviews, sols):
             expected = [
-                (r, int(x[s.offset + i])) for i, r in enumerate(s.regions) if x[s.offset + i] > 0
+                (tuple(r.box[a].lo for a in s.attrs), int(x[s.offset + i]))
+                for i, r in enumerate(s.regions)
+                if x[s.offset + i] > 0
             ]
-            assert expected and form.subview_solution(s) == expected
+            assert expected and sol.rows == expected
 
     @pytest.mark.parametrize("mode", ["region", "grid"])
     def test_cc_fitting_no_subview_raises(self, mode):

@@ -14,7 +14,8 @@ that both choose the same FK edges on the real schemas.
 
 Finally, the whole summary that ``regenerate`` builds is pinned, byte for
 byte, on WLc, WLs and JOB-lite: a change to the partitioner, the LP or the
-solver that moves any LP vertex shows there.
+solver that moves any LP vertex shows there. DataSynth's sampled relations
+are pinned the same way on WLs and JOB-lite, for one sampling seed.
 """
 import hashlib
 import itertools
@@ -26,6 +27,7 @@ import pytest
 
 from repro.core import hydra, metrics, preprocess, tuplegen, workload
 from repro.core.constraints import Interval
+from repro.core.datasynth import regenerate_datasynth
 from repro.core.grid import attribute_intervals
 from repro.core.lp import formulate_view
 from repro.job import generator as job_generator
@@ -187,16 +189,22 @@ def test_job_lite_x10_generated_equals_driver_decode(spark):
         pd.testing.assert_frame_equal(got, tuplegen.relation_to_pandas(schema, summary, rel))
 
 
-def summary_digest(summary) -> str:
-    """sha256 over each relation summary's name, columns and int64 values,
-    in name order, then the extra tuples (the benchmark's digest)."""
+def frames_digest(frames: dict[str, pd.DataFrame], extra_tuples: dict[str, int]) -> str:
+    """sha256 over each frame's name, columns and int64 values, in name
+    order, then the extra tuples."""
     h = hashlib.sha256()
-    for name in sorted(summary.relations):
-        frame = summary.relations[name].frame
+    for name in sorted(frames):
+        frame = frames[name]
         h.update(f"{name}:{','.join(frame.columns)}".encode())
         h.update(np.ascontiguousarray(frame.to_numpy(dtype=np.int64)).tobytes())
-    h.update(json.dumps(sorted(summary.extra_tuples.items())).encode())
+    h.update(json.dumps(sorted(extra_tuples.items())).encode())
     return h.hexdigest()
+
+
+def summary_digest(summary) -> str:
+    """The relation summaries' digest (the benchmark's digest)."""
+    frames = {name: r.frame for name, r in summary.relations.items()}
+    return frames_digest(frames, summary.extra_tuples)
 
 
 def _tpcds(sf, queries):
@@ -227,3 +235,19 @@ def test_summary_digest_is_pinned(name):
     schema, db = make_schema(), make_db()
     ccs = hydra.scale_ccs(workload.client_ccs(schema, db, make_queries()), scale)
     assert summary_digest(hydra.regenerate(schema, ccs).summary) == digest
+
+
+#: name: ((schema, client DB, queries) makers, digest of DataSynth's relations at seed 3)
+DATASYNTH_GOLDEN = {
+    "job-lite-303": (_JOB, "b6a8b9f627a03645cd79200c53756e382ef5ccb89806934864059cc2c0d39315"),
+    "wls-202": (_tpcds(0.01, lambda: make_wls(80, seed=202)),
+                "203553d96c68323da2e31f8bc517e4a0e5f994e07990ccba1c0250441f0084d8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASYNTH_GOLDEN))
+def test_datasynth_relations_digest_is_pinned(name):
+    (make_schema, make_db, make_queries), digest = DATASYNTH_GOLDEN[name]
+    schema, db = make_schema(), make_db()
+    result = regenerate_datasynth(schema, workload.client_ccs(schema, db, make_queries()), seed=3)
+    assert frames_digest(result.relations, result.extra_tuples) == digest

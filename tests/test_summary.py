@@ -4,39 +4,48 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.constraints import Interval, Predicate
+from repro.core.constraints import CC, Interval, Predicate, total_cc
 from repro.core.hydra import regenerate
+from repro.core.lp import formulate_view, solve_view
 from repro.core.metrics import achieved_counts_pandas, max_abs_error
-from repro.core.preprocess import rewrite_ccs
-from repro.core.summary import ViewSummary, instantiate_view, make_consistent
+from repro.core.preprocess import ViewPlan, rewrite_ccs
+from repro.core.summary import ViewSummary, make_consistent, view_summaries_from_formulations
 from repro.core.tuplegen import database_to_pandas, decode_rows, relation_to_pandas
 from repro.core.workload import base_size_ccs, derive_ccs_pandas
 
 from .toy import toy_client_data, toy_queries, toy_schema
 
 
-def iv(lo, hi):
-    return Interval(lo, hi)
-
-
 class TestInstantiateView:
     def test_left_boundary_assignment(self):
-        # §5.2: the 3rd row of Figure 8c becomes A=40,B=5,C=2 (all-left).
-        rows = [({"a": iv(40, 60), "b": iv(5, 9), "c": iv(2, 7)}, 10000)]
-        vs = instantiate_view("v", rows, ("a", "b", "c"))
+        # §5.2: the 3rd row of Figure 8c, A∈[40,60) B∈[5,9) C∈[2,7), becomes
+        # A=40,B=5,C=2 (all-left). The sub-views merge as (a, c, b); the
+        # summary is in view order.
+        plan = ViewPlan(
+            view="v",
+            attrs=("a", "b", "c"),
+            domain={"a": Interval(0, 100), "b": Interval(0, 50), "c": Interval(0, 10)},
+            subviews=[("a", "c"), ("b", "c")],
+            ccs=[
+                CC("v", Predicate.of(a=(40, 60), c=(2, 7)), 10000),
+                CC("v", Predicate.of(b=(5, 9), c=(2, 7)), 10000),
+                total_cc("v", 10000),
+            ],
+            total=10000,
+        )
+        form = solve_view(formulate_view(plan))
+        vs = view_summaries_from_formulations({"v": form})["v"]
+        assert vs.attrs == ("a", "b", "c")
         assert vs.rows == [((40, 5, 2), 10000)]
 
     def test_coalesce_merges_equal_values(self):
-        rows = [
-            ({"a": iv(0, 5)}, 3),
-            ({"a": iv(0, 2)}, 4),  # same left boundary
-            ({"a": iv(5, 9)}, 1),
-        ]
-        vs = instantiate_view("v", rows, ("a",))
+        vs = ViewSummary("v", ("a",), [((0,), 3), ((5,), 1), ((0,), 4)])
+        vs.coalesce()
         assert vs.rows == [((0,), 7), ((5,), 1)]
 
     def test_zero_rows_dropped(self):
-        vs = instantiate_view("v", [({"a": iv(0, 5)}, 0)], ("a",))
+        vs = ViewSummary("v", ("a",), [((0,), 0)])
+        vs.coalesce()
         assert vs.rows == []
 
 
