@@ -2,13 +2,11 @@
 
 Replaces DataSynth's sampling with HYDRA's alignment strategy:
 
-1. **Ordering** — sub-views (maximal cliques of the chordal view-graph) are
-   ordered along a junction tree, Prim's maximum-weight spanning tree over
-   separator sizes, so that each new sub-view's intersection with the
+1. **Ordering** — sub-view solutions arrive in the order of the view's
+   junction tree (:attr:`repro.core.preprocess.ViewPlan.tree`, built once
+   by the preprocessor), so each new sub-view's intersection with the
    already-merged attributes is contained in a single previous sub-view
-   (the running-intersection property; §5.1.1's separator condition). An
-   order that breaks it raises ``ValueError`` instead of merging on a key
-   whose joint marginal the LP never constrained.
+   (the running-intersection property; §5.1.1's separator condition).
 2. **Align** — the current view solution and the next sub-view solution are
    sorted on their common attributes, then rows are *split* so corresponding
    rows carry identical NumTuples (§5.1.2). The LP's consistency constraints
@@ -26,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .preprocess import junction_tree
+
 Point = tuple[int, ...]
 
 
@@ -42,36 +42,9 @@ class SubViewSolution:
 
 
 def order_subviews(sols: list[SubViewSolution]) -> list[SubViewSolution]:
-    """Running-intersection ordering of sub-view solutions: Prim's
-    maximum-weight spanning tree over separator sizes.
-
-    Start from the largest sub-view (ties by attribute names); then, at each
-    step, add the remaining sub-view with the largest overlap with any one
-    sub-view already chosen (ties to the earliest in the start order). A
-    sub-view overlapping none starts a new component. The maximal cliques
-    of a chordal graph have a junction tree, which this finds, so each new
-    sub-view's overlap with all earlier ones lies inside one of them — the
-    §5.1.1 separator condition. Raises ``ValueError`` where it does not.
-    """
-    remaining = sorted(sols, key=lambda s: (-len(s.attrs), s.attrs))
-    order: list[SubViewSolution] = []
-    visited: set[str] = set()
-    weight = [0] * len(remaining)  # overlap with the closest chosen sub-view
-    while remaining:
-        i = weight.index(max(weight))
-        s = remaining.pop(i)
-        del weight[i]
-        attrs = set(s.attrs)
-        common = attrs & visited
-        if common and not any(common <= set(o.attrs) for o in order):
-            raise ValueError(
-                f"sub-view {s.attrs} breaks the running intersection: its overlap "
-                f"{sorted(common)} with the earlier sub-views lies in no one of them"
-            )
-        order.append(s)
-        visited |= attrs
-        weight = [max(w, len(attrs & set(r.attrs))) for w, r in zip(weight, remaining)]
-    return order
+    """The solutions in the merge order of their :func:`junction_tree`;
+    raises ``ValueError`` where the sub-views have none."""
+    return [sols[i] for i, _ in junction_tree([s.attrs for s in sols])]
 
 
 def align_and_merge(
@@ -135,9 +108,11 @@ def align_and_merge(
 def build_view_solution(
     sols: list[SubViewSolution],
 ) -> tuple[list[tuple[Point, int]], tuple[str, ...]]:
-    """Algorithm 3 end-to-end: order, then iteratively align and merge."""
+    """Algorithm 3 end-to-end: align and merge the sub-view solutions in
+    the order given, a junction-tree order
+    (:attr:`repro.core.preprocess.ViewPlan.tree`)."""
     rows: list[tuple[Point, int]] = []
     attrs: tuple[str, ...] = ()
-    for sub in order_subviews(sols):
+    for sub in sols:
         rows, attrs = align_and_merge(rows, attrs, sub)
     return rows, attrs

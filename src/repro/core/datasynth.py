@@ -8,7 +8,8 @@ compares against them:
 - **Sampling-based instantiation** (§3.2, §5.1): instead of deterministic
   align/merge on summaries, DataSynth materializes each *view instance* by
   sampling tuples — the first sub-view from Prob(cells), each later
-  sub-view from the conditional distribution given the shared attributes.
+  sub-view from the conditional distribution given the shared attributes,
+  in the merge order of the view's junction tree (``ViewPlan.tree``).
   Sampling introduces multinomial noise, so CCs are satisfied only in
   expectation (both positive and negative errors; Fig 10).
 - **Instance-level referential repair**: missing FK combinations are
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .align import order_subviews
 from .constraints import CC
 from .hydra import Timings, regenerate
 from .lp import ViewFormulation
@@ -50,12 +50,13 @@ def _sample_view_instance(
 
     Implements the paper's description of DataSynth: compute Prob over the
     first sub-view's cells, sample every tuple, then for each subsequent
-    sub-view sample the new attributes from the conditional distribution
-    given the shared attributes. Values are cell left boundaries, matching
-    the granularity both systems instantiate at.
+    sub-view, in the junction-tree order ``subview_solutions`` gives, sample
+    the new attributes from the conditional distribution given the shared
+    attributes. Values are cell left boundaries, matching the granularity
+    both systems instantiate at.
     """
     inst = pd.DataFrame(index=range(form.plan.total))
-    for sub in order_subviews(form.subview_solutions()):
+    for sub in form.subview_solutions():
         vals = np.array([point for point, _ in sub.rows], dtype=np.int64)
         counts = np.array([c for _, c in sub.rows], dtype=np.float64)
         common = [a for a in sub.attrs if a in inst.columns]

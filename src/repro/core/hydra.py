@@ -1,10 +1,11 @@
 """HYDRA end-to-end driver: CCs in, database summary out (paper §3).
 
 ``regenerate`` wires the vendor-site pipeline together: preprocessor
-(views + sub-views) → LP formulation (region-partitioning) → solver →
-deterministic summary generation. Timings for each stage are recorded
-because the paper's headline results (Figs 13/14, §7.4) are stage
-wall-clock times; variable counts per view feed Figs 12/17.
+(views, sub-views and their junction tree) → LP formulation
+(region-partitioning) → solver → deterministic summary generation, which
+merges each view's sub-views along the plan's tree. Timings for each stage
+are recorded because the paper's headline results (Figs 13/14, §7.4) are
+stage wall-clock times; variable counts per view feed Figs 12/17.
 """
 from __future__ import annotations
 

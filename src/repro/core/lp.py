@@ -15,7 +15,9 @@ then contains (Figure 7):
   region's interval on a shared attribute is exactly one cell of that
   grid; for every pair of sub-views sharing attributes, the marginals are
   equated cell by cell, keyed by each region's own shared-attribute
-  interval.
+  interval. The shared attributes are those on the edges of the plan's
+  junction tree. Rows on tree edges alone would suffice, but every pair
+  keeps its rows: dropping the redundant ones moves the simplex vertex.
 
 The rows are built from the partitions' arrays (:class:`~repro.core.regions.Regions`):
 a CC's row takes the regions whose label id is one of the labels holding the
@@ -75,11 +77,13 @@ class ViewFormulation:
         return sum(s.n_vars for s in self.subviews)
 
     def subview_solutions(self) -> list[SubViewSolution]:
-        """Per sub-view, in ``subviews`` order, a row for every nonzero
-        variable: its region's lows (``Regions.los``) and its count."""
+        """Per sub-view, in the merge order of ``plan.tree``, a row for
+        every nonzero variable: its region's lows (``Regions.los``) and its
+        count."""
         assert self.solution is not None
         sols = []
-        for s in self.subviews:
+        for i, _ in self.plan.tree:
+            s = self.subviews[i]
             x = self.solution[s.offset : s.offset + s.n_vars]
             nz = np.flatnonzero(x > 0)
             points = map(tuple, s.regions.los[nz].tolist())
@@ -146,11 +150,14 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
                 f"view {plan.view}: CC {i} on {sorted(cc.predicate.attrs)} "
                 "fits in no sub-view, so the LP cannot encode it"
             )
-    attr_count: dict[str, int] = {}
-    for sv in plan.subviews:
-        for a in sv:
-            attr_count[a] = attr_count.get(a, 0) + 1
-    shared_attrs = {a for a, n in attr_count.items() if n > 1}
+    # The sub-views holding an attribute form a subtree of the junction
+    # tree, so the attributes on its edges are all the shared ones.
+    shared_attrs = {
+        a
+        for i, parent in plan.tree
+        if parent is not None
+        for a in set(plan.subviews[i]) & set(plan.subviews[parent])
+    }
     encoded_ccs = [plan.ccs[i] for i in sorted(encoded)]
     boundaries = {a: cut_points(a, plan.domain[a], encoded_ccs) for a in shared_attrs}
 

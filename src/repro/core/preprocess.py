@@ -9,14 +9,20 @@ Responsibilities:
    CC on the view of the join's root relation, because every PK–FK join with
    a referenced relation preserves the root's row multiplicity.
 3. **Sub-view decomposition** — per view, build the *view-graph* (nodes =
-   view attributes, edge iff two attributes co-occur in some CC), chordalize
-   it (min-fill elimination), and take the maximal cliques as sub-views.
-   Chordality guarantees the running-intersection ordering the summary
-   generator's align/merge step relies on (§5.1.1).
+   view attributes, edge iff two attributes co-occur in some CC), play the
+   min-fill elimination game on it and keep the maximal cliques it records
+   (the maximal cliques of the chordalized graph) as sub-views.
+4. **Junction tree** — the cliques of a chordal graph have a junction tree
+   (:func:`junction_tree`): a merge order in which each sub-view's overlap
+   with the earlier ones lies inside its parent, the running-intersection
+   property align/merge relies on (§5.1.1). Tree edges whose separator is
+   wider than :data:`MAX_SEPARATOR` are contracted (the two sub-views fuse),
+   and the fused sub-views' tree is stored on the :class:`ViewPlan`, where
+   the LP, align/merge and DataSynth's sampler read it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constraints import CC, Interval, Predicate
 from .schema import Schema
@@ -59,57 +65,39 @@ def rewrite_ccs(schema: Schema, raw: list[RawCC]) -> list[CC]:
     return list(seen.values())
 
 
-def _min_fill_chordalize(nodes: list[str], edges: set[frozenset[str]]):
-    """Chordalize by elimination-game with the min-fill heuristic.
+#: Widest separator a sub-view keeps with its junction-tree parent; a
+#: fatter one fuses the two (:func:`_fuse_fat_separators`).
+MAX_SEPARATOR = 2
 
-    Returns (chordal edge set, perfect elimination ordering).
+
+def _maximal_cliques(nodes: list[str], edges: set[frozenset[str]]) -> list[frozenset[str]]:
+    """Maximal cliques of the view-graph chordalized by the elimination game.
+
+    Each step eliminates the vertex whose remaining neighbours need the
+    fewest fill edges (min-fill; ties broken by name), adds those edges and
+    records the vertex with its remaining neighbours: a clique of the
+    chordal graph. Every maximal clique is one of these sets; the sets
+    inside another one are dropped.
     """
     adj: dict[str, set[str]] = {v: set() for v in nodes}
-    for e in edges:
-        a, b = tuple(e)
+    for a, b in map(tuple, edges):
         adj[a].add(b)
         adj[b].add(a)
-    chordal = set(edges)
-    remaining = set(nodes)
-    order: list[str] = []
-    while remaining:
-        # Min-fill: eliminate the vertex whose neighborhood needs fewest
-        # fill edges; ties broken by name for determinism.
+    cands: list[frozenset[str]] = []
+    while adj:
         best, best_fill = None, None
-        for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining]
-            fill = [
-                frozenset((a, b))
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1 :]
-                if b not in adj[a]
-            ]
+        for v in sorted(adj):
+            nbrs = list(adj[v])
+            fill = [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]]
             if best_fill is None or len(fill) < len(best_fill):
                 best, best_fill = v, fill
-        assert best is not None
-        for e in best_fill:
-            a, b = tuple(e)
+        for a, b in best_fill:
             adj[a].add(b)
             adj[b].add(a)
-            chordal.add(e)
-        order.append(best)
-        remaining.discard(best)
-    return chordal, order
-
-
-def _maximal_cliques_chordal(
-    nodes: list[str], adj: dict[str, set[str]], elim_order: list[str]
-) -> list[frozenset[str]]:
-    """Maximal cliques of a chordal graph from its elimination ordering.
-
-    Candidate cliques are {v} ∪ (later neighbors of v); non-maximal
-    candidates (subsets of another candidate) are dropped.
-    """
-    pos = {v: i for i, v in enumerate(elim_order)}
-    cands = []
-    for v in elim_order:
-        c = frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-        cands.append(c)
+        nbrs = adj.pop(best)
+        for u in nbrs:
+            adj[u].discard(best)
+        cands.append(frozenset(nbrs | {best}))
     cands.sort(key=len, reverse=True)
     out: list[frozenset[str]] = []
     for c in cands:
@@ -118,10 +106,46 @@ def _maximal_cliques_chordal(
     return out
 
 
-def _fuse_fat_separators(
-    cliques: list[frozenset[str]], max_separator: int = 2
-) -> list[frozenset[str]]:
-    """Fuse sub-views whose pairwise overlap exceeds ``max_separator``.
+def junction_tree(subviews: list[tuple[str, ...]]) -> list[tuple[int, int | None]]:
+    """The sub-views' merge order, each with its parent: Prim's
+    maximum-weight spanning tree over separator sizes.
+
+    Start from the largest sub-view (ties by attribute tuple); then, at each
+    step, add the remaining sub-view with the largest overlap with any one
+    sub-view already chosen (ties to the earliest in the start order), as a
+    child of the first chosen sub-view with that overlap. A sub-view
+    overlapping none starts a new component (parent ``None``). The maximal
+    cliques of a chordal graph have a junction tree, which this finds, so
+    each sub-view's overlap with all earlier ones lies inside its parent —
+    the running-intersection property (RIP) that Algorithm 3 needs (§5.1.1).
+    Raises ``ValueError`` where it does not.
+    """
+    sets = [set(sv) for sv in subviews]
+    start = sorted(range(len(subviews)), key=lambda i: (-len(subviews[i]), subviews[i]))
+    link: dict[int, tuple[int, int | None]] = {i: (0, None) for i in start}
+    tree: list[tuple[int, int | None]] = []
+    seen: set[str] = set()
+    while link:
+        i = max(link, key=lambda k: link[k][0])
+        _, parent = link.pop(i)
+        common = sets[i] & seen
+        if parent is not None and not common <= sets[parent]:
+            raise ValueError(
+                f"sub-view {subviews[i]} breaks the running intersection: its overlap "
+                f"{sorted(common)} with the earlier sub-views lies in no one of them"
+            )
+        tree.append((i, parent))
+        seen |= sets[i]
+        for k in link:
+            overlap = len(sets[i] & sets[k])
+            if overlap > link[k][0]:
+                link[k] = (overlap, i)
+    return tree
+
+
+def _fuse_fat_separators(cliques: list[frozenset[str]]) -> list[frozenset[str]]:
+    """Contract every junction-tree edge whose separator is wider than
+    :data:`MAX_SEPARATOR`: the clique joins its parent's sub-view.
 
     Cross-sub-view consistency requires refining both partitions to the
     joint cell grid of the shared attributes — a cost multiplicative in
@@ -129,29 +153,20 @@ def _fuse_fat_separators(
     fat, a single fused sub-view (no consistency constraints at all) is
     strictly cheaper, so decomposition is kept only where it helps: the
     paper introduces sub-views purely "to reduce the effective
-    complexity" (§3.2), which this guard preserves.
+    complexity" (§3.2), which this guard preserves. Two disjoint subtrees
+    of a junction tree share attributes only through the edge joining them,
+    so no fused sub-view overlaps another by more than the limit, and none
+    lies inside another.
     """
-    out = [set(c) for c in cliques]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                if len(out[i] & out[j]) > max_separator:
-                    out[i] |= out[j]
-                    del out[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    # Drop sub-views subsumed by a fused one.
-    fs = [frozenset(c) for c in out]
-    fs.sort(key=len, reverse=True)
-    kept: list[frozenset[str]] = []
-    for c in fs:
-        if not any(c <= k for k in kept):
-            kept.append(c)
-    return kept
+    group = list(range(len(cliques)))
+    # Prim adds a parent before its children, so group[parent] is final.
+    for i, parent in junction_tree([tuple(sorted(c)) for c in cliques]):
+        if parent is not None and len(cliques[i] & cliques[parent]) > MAX_SEPARATOR:
+            group[i] = group[parent]
+    fused: dict[int, frozenset[str]] = {}
+    for c, g in zip(cliques, group):
+        fused[g] = fused.get(g, frozenset()) | c
+    return list(fused.values())
 
 
 @dataclass
@@ -160,6 +175,9 @@ class ViewPlan:
 
     ``subviews`` are attribute-name tuples in canonical (view-attribute)
     order; ``total`` is the relation's row count from the ``|R|`` CC.
+    ``tree`` is their :func:`junction_tree`, ``(index into subviews,
+    parent index or None)`` in merge order; a plan whose sub-views have
+    none cannot be built.
     """
 
     view: str
@@ -168,6 +186,10 @@ class ViewPlan:
     subviews: list[tuple[str, ...]]
     ccs: list[CC]
     total: int
+    tree: list[tuple[int, int | None]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tree = junction_tree(self.subviews)
 
 
 def plan_views(schema: Schema, ccs: list[CC]) -> dict[str, ViewPlan]:
@@ -199,19 +221,12 @@ def plan_views(schema: Schema, ccs: list[CC]) -> dict[str, ViewPlan]:
             for i, a in enumerate(cc_attrs):
                 for b in cc_attrs[i + 1 :]:
                     edges.add(frozenset((a, b)))
-        chordal, order = _min_fill_chordalize(list(attr_names), edges)
-        adj: dict[str, set[str]] = {v: set() for v in attr_names}
-        for e in chordal:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        cliques = _maximal_cliques_chordal(list(attr_names), adj, order)
-        cliques = _fuse_fat_separators(cliques)
+        fused = _fuse_fat_separators(_maximal_cliques(list(attr_names), edges))
         # Canonical attribute order inside each sub-view + deterministic
         # sub-view order (by first attribute position).
         idx = {a: i for i, a in enumerate(attr_names)}
         subviews = sorted(
-            (tuple(sorted(c, key=idx.__getitem__)) for c in cliques),
+            (tuple(sorted(c, key=idx.__getitem__)) for c in fused),
             key=lambda t: tuple(idx[a] for a in t),
         )
         plans[rel] = ViewPlan(

@@ -14,13 +14,11 @@ partition bounds of ``spark.range(1, N + 1, 1, P)``. Each of ``P`` tasks
 takes its slice of that table and expands every range with
 ``explode(sequence(lo, hi))``: no Python worker runs, the rows land in the
 partitions ``spark.range`` would give them, and downstream joins and
-aggregates in the evaluation run as ordinary Spark SQL. :func:`decoder`,
-:func:`decode_rows` and :func:`relation_to_pandas` run the same lookup
-driver-side, with a vectorized ``searchsorted``.
+aggregates in the evaluation run as ordinary Spark SQL. :func:`decode_rows`
+runs the same lookup driver-side, with a vectorized ``searchsorted``, and
+:func:`relation_to_pandas` decodes a whole relation through it.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -35,28 +33,14 @@ from .summary import DatabaseSummary, RelationSummary
 _CHUNK = 1 << 20
 
 
-def decoder(summary: RelationSummary) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
-    """The §6 lookup of one relation: 1-based PK positions → column arrays.
-
-    ``cumsum(NumTuples)`` is computed once, here; the returned closure
-    decodes any batch of PKs against it.
-    """
-    bounds = np.cumsum(summary.frame["numtuples"].to_numpy())
-    values = {c: summary.frame[c].to_numpy() for c in summary.frame.columns if c != "numtuples"}
-    n = summary.total_rows
-
-    def decode(pks: np.ndarray) -> dict[str, np.ndarray]:
-        if len(pks) and (pks.min() < 1 or pks.max() > n):
-            raise IndexError("PK out of range for relation summary")
-        idx = np.searchsorted(bounds, pks, side="left")  # first bound >= pk
-        return {c: arr[idx] for c, arr in values.items()}
-
-    return decode
-
-
 def decode_rows(summary: RelationSummary, pks: np.ndarray) -> pd.DataFrame:
-    """Decode tuple values for 1-based PK positions (vectorized §6 lookup)."""
-    return pd.DataFrame(decoder(summary)(pks))
+    """The §6 lookup: values of the tuples at 1-based PK positions, the
+    summary row whose cumulative NumTuples first reaches each PK."""
+    if len(pks) and (pks.min() < 1 or pks.max() > summary.total_rows):
+        raise IndexError("PK out of range for relation summary")
+    frame = summary.frame
+    idx = np.searchsorted(np.cumsum(frame["numtuples"].to_numpy()), pks, side="left")
+    return pd.DataFrame({c: frame[c].to_numpy()[idx] for c in frame.columns if c != "numtuples"})
 
 
 def relation_schema(schema: Schema, rel_name: str) -> T.StructType:
@@ -140,13 +124,13 @@ def relation_to_pandas(
     """Decode a whole relation driver-side (small scales / metrics paths).
 
     Exactly the operator's semantics without a Spark job: PKs 1..N decoded
-    through :func:`decoder`; columns in :func:`relation_schema` order.
+    by :func:`decode_rows`; columns in :func:`relation_schema` order.
     """
     summary = db.relations[rel_name]
     pks = np.arange(1, summary.total_rows + 1, dtype=np.int64)
-    cols = decoder(summary)(pks)
-    order = [f.name for f in relation_schema(schema, rel_name).fields]
-    return pd.DataFrame({schema[rel_name].pk: pks, **cols})[order]
+    frame = decode_rows(summary, pks)
+    frame.insert(0, schema[rel_name].pk, pks)
+    return frame[[f.name for f in relation_schema(schema, rel_name).fields]]
 
 
 def database_to_pandas(schema: Schema, db: DatabaseSummary) -> dict[str, pd.DataFrame]:

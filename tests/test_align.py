@@ -11,9 +11,10 @@ from repro.core.align import (
     order_subviews,
 )
 from repro.core.preprocess import (
+    MAX_SEPARATOR,
     _fuse_fat_separators,
-    _maximal_cliques_chordal,
-    _min_fill_chordalize,
+    _maximal_cliques,
+    junction_tree,
 )
 
 
@@ -25,6 +26,31 @@ def satisfies_rip(order: list[SubViewSolution]) -> bool:
         if common and not any(common <= set(o.attrs) for o in earlier):
             return False
     return True
+
+
+def all_pairs_fusion(cliques: list[frozenset[str]]) -> list[frozenset[str]]:
+    """Reference fusion: merge the first pair of sub-views overlapping in
+    more than ``MAX_SEPARATOR`` attributes and rescan until no pair does;
+    then drop sub-views inside another."""
+    out = [set(c) for c in cliques]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out)):
+            for j in range(i + 1, len(out)):
+                if len(out[i] & out[j]) > MAX_SEPARATOR:
+                    out[i] |= out[j]
+                    del out[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    fs = sorted((frozenset(c) for c in out), key=len, reverse=True)
+    kept: list[frozenset[str]] = []
+    for c in fs:
+        if not any(c <= k for k in kept):
+            kept.append(c)
+    return kept
 
 
 @st.composite
@@ -72,20 +98,38 @@ class TestOrderSubviews:
     def test_rip_on_random_chordalized_graphs(self, graph, fuse):
         """The sub-views of any view graph, chordalized, split into maximal
         cliques and optionally fused, are ordered with the running
-        intersection property."""
+        intersection property, and each one's overlap with the earlier ones
+        lies in its junction-tree parent."""
         nodes, edges = graph
-        chordal, elim = _min_fill_chordalize(nodes, edges)
-        adj = {v: set() for v in nodes}
-        for a, b in map(tuple, chordal):
-            adj[a].add(b)
-            adj[b].add(a)
-        cliques = _maximal_cliques_chordal(nodes, adj, elim)
+        cliques = _maximal_cliques(nodes, edges)
         if fuse:
             cliques = _fuse_fat_separators(cliques)
-        sols = [SubViewSolution(tuple(sorted(c)), []) for c in cliques]
+        cliques = [tuple(sorted(c)) for c in cliques]
+        sols = [SubViewSolution(c, []) for c in cliques]
         order = order_subviews(sols)
         assert sorted(s.attrs for s in order) == sorted(s.attrs for s in sols)
         assert satisfies_rip(order)
+        tree = junction_tree(cliques)
+        assert [cliques[i] for i, _ in tree] == [s.attrs for s in order]
+        for k, (i, parent) in enumerate(tree):
+            earlier = {a for j, _ in tree[:k] for a in cliques[j]}
+            common = set(cliques[i]) & earlier
+            if parent is None:
+                assert not common
+            else:
+                assert parent in [j for j, _ in tree[:k]]
+                assert common <= set(cliques[parent])
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph=graphs())
+    def test_fusion_equals_all_pairs_fixpoint(self, graph):
+        """Contracting the junction tree's fat edges fuses the same
+        sub-views as merging any two that overlap in more than
+        ``MAX_SEPARATOR`` attributes until none do."""
+        nodes, edges = graph
+        cliques = _maximal_cliques(nodes, edges)
+        fused = _fuse_fat_separators(cliques)
+        assert sorted(map(sorted, fused)) == sorted(map(sorted, all_pairs_fusion(cliques)))
 
     def test_raises_without_junction_tree(self):
         # A triangle's edges as sub-views: the third's overlap {a, c} with

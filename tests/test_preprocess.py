@@ -1,14 +1,8 @@
 """Preprocessor tests: CC rewriting, view-graph, chordalization, sub-views."""
 import pytest
 
-from repro.core.constraints import CC, Conjunct, Predicate
-from repro.core.preprocess import (
-    RawCC,
-    _maximal_cliques_chordal,
-    _min_fill_chordalize,
-    plan_views,
-    rewrite_ccs,
-)
+from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
+from repro.core.preprocess import RawCC, ViewPlan, _maximal_cliques, plan_views, rewrite_ccs
 from repro.core.workload import base_size_ccs
 
 from .toy import toy_schema
@@ -66,34 +60,28 @@ class TestChordalize:
     def test_triangle_already_chordal(self):
         nodes = ["a", "b", "c"]
         edges = {frozenset(p) for p in (("a", "b"), ("b", "c"), ("a", "c"))}
-        chordal, order = _min_fill_chordalize(nodes, edges)
-        assert chordal == edges
+        assert _maximal_cliques(nodes, edges) == [frozenset(nodes)]
 
     def test_four_cycle_gets_fill_edge(self):
         nodes = ["a", "b", "c", "d"]
         edges = {
             frozenset(p) for p in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))
         }
-        chordal, _ = _min_fill_chordalize(nodes, edges)
-        assert len(chordal) == 5  # one chord added
+        cliques = _maximal_cliques(nodes, edges)
+        # two triangles sharing one chord, which is not an input edge
+        assert [len(c) for c in cliques] == [3, 3]
+        chord = cliques[0] & cliques[1]
+        assert len(chord) == 2 and chord not in edges
 
     def test_cliques_of_path_graph(self):
         nodes = ["a", "b", "c"]
         edges = {frozenset(p) for p in (("a", "b"), ("b", "c"))}
-        chordal, order = _min_fill_chordalize(nodes, edges)
-        adj = {v: set() for v in nodes}
-        for e in chordal:
-            x, y = tuple(e)
-            adj[x].add(y)
-            adj[y].add(x)
-        cliques = _maximal_cliques_chordal(nodes, adj, order)
+        cliques = _maximal_cliques(nodes, edges)
         assert sorted(sorted(c) for c in cliques) == [["a", "b"], ["b", "c"]]
 
     def test_isolated_vertices_become_singletons(self):
         nodes = ["a", "b", "c"]
-        chordal, order = _min_fill_chordalize(nodes, set())
-        adj = {v: set() for v in nodes}
-        cliques = _maximal_cliques_chordal(nodes, adj, order)
+        cliques = _maximal_cliques(nodes, set())
         assert sorted(sorted(c) for c in cliques) == [["a"], ["b"], ["c"]]
 
 
@@ -150,3 +138,16 @@ class TestPlanViews:
         plan = plan_views(sch, ccs)["s"]
         # b is not in any CC → it must be a singleton sub-view.
         assert ("b",) in [tuple(sv) for sv in plan.subviews]
+
+    def test_plan_without_junction_tree_cannot_be_built(self):
+        # A triangle's edges as sub-views: the third's overlap {a, c} with
+        # the first two lies in neither.
+        with pytest.raises(ValueError, match="running intersection"):
+            ViewPlan(
+                view="v",
+                attrs=("a", "b", "c"),
+                domain={a: Interval(0, 10) for a in "abc"},
+                subviews=[("a", "b"), ("b", "c"), ("a", "c")],
+                ccs=[total_cc("v", 10)],
+                total=10,
+            )

@@ -15,7 +15,8 @@ that both choose the same FK edges on the real schemas.
 Finally, the whole summary that ``regenerate`` builds is pinned, byte for
 byte, on WLc, WLs and JOB-lite: a change to the partitioner, the LP or the
 solver that moves any LP vertex shows there. DataSynth's sampled relations
-are pinned the same way on WLs and JOB-lite, for one sampling seed.
+are pinned the same way on WLs and JOB-lite, for one sampling seed. Each
+view plan's junction tree is checked on WLc, WLs and JOB-lite.
 """
 import hashlib
 import itertools
@@ -251,3 +252,30 @@ def test_datasynth_relations_digest_is_pinned(name):
     schema, db = make_schema(), make_db()
     result = regenerate_datasynth(schema, workload.client_ccs(schema, db, make_queries()), seed=3)
     assert frames_digest(result.relations, result.extra_tuples) == digest
+
+
+#: name: (schema, client DB, queries) makers of the plans whose junction trees are checked
+TREE_PLANS = {
+    "wlc-101": GOLDEN["wlc-101"][0],
+    "wls-202": _tpcds(0.01, lambda: make_wls(80, seed=202)),
+    "job-lite-303": _JOB,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_PLANS))
+def test_plan_tree_lists_every_subview_once_with_rip(name):
+    """``ViewPlan.tree`` is a merge order of all sub-views in which each
+    sub-view's overlap with the earlier ones lies in its parent."""
+    make_schema, make_db, make_queries = TREE_PLANS[name]
+    schema, db = make_schema(), make_db()
+    plans = preprocess.plan_views(schema, workload.client_ccs(schema, db, make_queries()))
+    for plan in plans.values():
+        order = [i for i, _ in plan.tree]
+        assert sorted(order) == list(range(len(plan.subviews)))
+        for k, (i, parent) in enumerate(plan.tree):
+            earlier = {a for j in order[:k] for a in plan.subviews[j]}
+            common = set(plan.subviews[i]) & earlier
+            if parent is None:
+                assert not common
+            else:
+                assert parent in order[:k] and common <= set(plan.subviews[parent])

@@ -93,6 +93,44 @@ class TestMakeConsistent:
         extras = make_consistent(sch, summaries)
         assert extras == {"r": 0, "s": 0, "t": 0}
 
+    S_CCS = {"s": [total_cc("s", 8), CC("s", Predicate.of(a=(0, 50)), 5)]}
+
+    def _cc_counts(self, vs: ViewSummary) -> list[int]:
+        return [
+            sum(c for vals, c in vs.rows if cc.predicate.matches_point(dict(zip(vs.attrs, vals))))
+            for cc in self.S_CCS["s"]
+        ]
+
+    def test_donor_row_gives_one_tuple(self):
+        """A missing combination takes a tuple from a row of equal CC
+        signature with count >= 2: no extra tuple, no CC count moves."""
+        sch = toy_schema()
+        summaries = {
+            "r": ViewSummary("r", ("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
+            "s": ViewSummary("s", ("a", "b"), [((0, 0), 5), ((60, 0), 3)]),
+            "t": ViewSummary("t", ("c",), [((2,), 150)]),
+        }
+        before = self._cc_counts(summaries["s"])
+        extras = make_consistent(sch, summaries, self.S_CCS)
+        assert extras["s"] == 0
+        assert summaries["s"].rows == [((0, 0), 4), ((7, 1), 1), ((60, 0), 3)]
+        assert self._cc_counts(summaries["s"]) == before == [8, 5]
+
+    @pytest.mark.parametrize(
+        "rows", [[((0, 0), 1), ((60, 0), 5)], [((60, 0), 6)]], ids=["count-1", "other-signature"]
+    )
+    def test_no_donor_adds_an_extra_tuple(self, rows):
+        """A row of count 1, or of another CC signature, gives nothing."""
+        sch = toy_schema()
+        summaries = {
+            "r": ViewSummary("r", ("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
+            "s": ViewSummary("s", ("a", "b"), list(rows)),
+            "t": ViewSummary("t", ("c",), [((2,), 150)]),
+        }
+        extras = make_consistent(sch, summaries, self.S_CCS)
+        assert extras["s"] == 1
+        assert sorted(summaries["s"].rows) == sorted(rows + [((7, 1), 1)])
+
 
 class TestToyEndToEnd:
     @pytest.fixture(scope="class")

@@ -47,7 +47,7 @@ class TestGenerateRelation:
 
     def test_spark_output_equals_driver_decode(self, spark, hydra_result):
         """The Spark operator must produce exactly the rows the driver-side
-        decoder produces (same summary, same semantics)."""
+        decode produces (same summary, same semantics)."""
         sch, ccs, res = hydra_result
         got = (
             generate_relation(spark, sch, res.summary, "s")
