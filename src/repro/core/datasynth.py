@@ -7,9 +7,11 @@ compares against them:
   sub-view; the LP solver fails beyond a cap (paper: Z3 crash on WLc).
 - **Sampling-based instantiation** (§3.2, §5.1): instead of deterministic
   align/merge on summaries, DataSynth materializes each *view instance* by
-  sampling tuples — the first sub-view from Prob(cells), each later
-  sub-view from the conditional distribution given the shared attributes,
-  in the merge order of the view's junction tree (``ViewPlan.tree``).
+  sampling tuples from the solved sub-views, in the merge order of the
+  view's junction tree (``ViewPlan.tree``): each sub-view's new attributes
+  come from its distribution over cells conditioned on the attributes
+  already sampled, so the first sub-view of each connected component draws
+  from Prob(cells) unconditioned.
   Sampling introduces multinomial noise, so CCs are satisfied only in
   expectation (both positive and negative errors; Fig 10).
 - **Instance-level referential repair**: missing FK combinations are
@@ -48,66 +50,53 @@ def _sample_view_instance(
 ) -> pd.DataFrame:
     """Sample one full view instance from the solved sub-view distributions.
 
-    Implements the paper's description of DataSynth: compute Prob over the
-    first sub-view's cells, sample every tuple, then for each subsequent
-    sub-view, in the junction-tree order ``subview_solutions`` gives, sample
-    the new attributes from the conditional distribution given the shared
-    attributes. Values are cell left boundaries, matching the granularity
-    both systems instantiate at.
+    Implements the paper's description of DataSynth: for each sub-view, in
+    the junction-tree order ``subview_solutions`` gives, sample the new
+    attributes of every tuple from the sub-view's distribution conditioned
+    on the tuple's values of the attributes already sampled. The first
+    sub-view of a connected component shares no attribute with those, so
+    all tuples form one group and draw from Prob over its cells. Values are
+    cell left boundaries, matching the granularity both systems instantiate
+    at.
     """
-    inst = pd.DataFrame(index=range(form.plan.total))
+    n = form.plan.total
+    inst: dict[str, np.ndarray] = {}
     for sub in form.subview_solutions():
-        vals = np.array([point for point, _ in sub.rows], dtype=np.int64)
+        common = [a for a in sub.attrs if a in inst]
+        new = [a for a in sub.attrs if a not in inst]
+        if not new:
+            continue
+        vals = np.array(sub.project(new), dtype=np.int64)
         counts = np.array([c for _, c in sub.rows], dtype=np.float64)
-        common = [a for a in sub.attrs if a in inst.columns]
-        new_attrs = [a for a in sub.attrs if a not in inst.columns]
-        if not new_attrs:
-            continue
-        if not common:
-            p = counts / counts.sum()
-            draws = rng.multinomial(len(inst), p)
-            rows = np.repeat(np.arange(len(sub.rows)), draws)
-            rng.shuffle(rows)
-            for j, a in enumerate(sub.attrs):
-                if a in new_attrs:
-                    inst[a] = vals[rows][:, j]
-            continue
-        # Conditional sampling: group the sub-view rows by shared values.
-        sub_pdf = pd.DataFrame(vals, columns=list(sub.attrs))
-        sub_pdf["__c"] = counts
-        out_cols = {a: np.zeros(len(inst), dtype=np.int64) for a in new_attrs}
-        # Normalize group keys to plain tuples: pandas yields 1-tuples from
-        # iteration but scalars from .indices for single-column keys.
-        groups = {
-            (key if isinstance(key, tuple) else (key,)): g
-            for key, g in sub_pdf.groupby(common, sort=False)
-        }
-        inst_groups = inst.groupby(common, sort=False).indices
-        overall_p = counts / counts.sum()
-        for key, idxs in inst_groups.items():
-            key_t = tuple(key) if isinstance(key, tuple) else (key,)
-            g = groups.get(key_t)
+        rows_of: dict[tuple, list[int]] = {}
+        for r, key in enumerate(sub.project(common)):
+            rows_of.setdefault(key, []).append(r)
+        # The instance's groups of equal shared values, in the order pandas'
+        # groupby(sort=False) gives them: by each column's first-appearance
+        # code, column after column.
+        codes = np.zeros((n, len(common)), dtype=np.int64)
+        for k, a in enumerate(common):
+            codes[:, k] = pd.factorize(inst[a])[0]
+        _, firsts, group = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+        out = np.zeros((n, len(new)), dtype=np.int64)
+        for first, idxs in zip(firsts, members):
+            g = rows_of.get(tuple(int(inst[a][first]) for a in common))
             if g is None:
                 # Sampled a shared combo the other sub-view never produced
                 # (possible only via rounding slack): fall back to the
                 # overall marginal, as DataSynth's sampler effectively does.
-                g_vals = vals
-                g_p = overall_p
+                g_vals, g_p = vals, counts / counts.sum()
             else:
-                g_vals = g[list(sub.attrs)].to_numpy()
-                gc = g["__c"].to_numpy(dtype=np.float64)
-                g_p = gc / gc.sum()
+                g_vals, g_p = vals[g], counts[g] / counts[g].sum()
             draws = rng.multinomial(len(idxs), g_p)
             rows = np.repeat(np.arange(len(g_p)), draws)
             rng.shuffle(rows)
-            chosen = g_vals[rows]
-            for j, a in enumerate(sub.attrs):
-                if a in new_attrs:
-                    out_cols[a][idxs] = chosen[:, j]
-        for a in new_attrs:
-            inst[a] = out_cols[a]
+            out[idxs] = g_vals[rows]
+        for k, a in enumerate(new):
+            inst[a] = out[:, k]
     # Canonical view attribute order.
-    return inst[[a for a in form.plan.attrs if a in inst.columns]]
+    return pd.DataFrame({a: inst[a] for a in form.plan.attrs if a in inst})
 
 
 def _extract_relations(

@@ -10,14 +10,16 @@ The grid is the special case of HYDRA's region partition in which every
 attribute is cut. :func:`grid_variable_count` computes ``∏ ℓᵢ``
 analytically, so the blowup can be *reported* without materializing cells
 (Fig 12 / Fig 13 "crash"). :func:`grid_partition` raises
-:class:`GridTooLarge` above :data:`CELL_CAP` cells, to emulate the solver
-crash, and otherwise partitions through HYDRA's sweep
+:class:`GridTooLarge` when the grid it would build (cut also at the LP's
+consistency boundaries) exceeds :data:`CELL_CAP` cells, to emulate the
+solver crash, and otherwise partitions through HYDRA's sweep
 (:func:`~repro.core.regions.partition_lp_regions`) with every attribute
 passed as shared, so each grid cell is its own region, in the same columnar
 :class:`~repro.core.regions.Regions` container as HYDRA's regions.
 """
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from .constraints import CC, Interval
@@ -67,21 +69,22 @@ def grid_partition(
     Each shared attribute is also cut at ``boundaries[a]``, the CC
     boundaries the LP's consistency constraints equate marginals on, so
     every cell's interval on a shared attribute is exactly one boundary
-    cell. The cap applies to the unrefined ``∏ ℓᵢ``. With every attribute
-    cut and passed to the sweep as shared, no two cells share a state:
-    cells come one region each, in ``itertools.product`` order of the
-    per-attribute intervals, each labelled with the CCs the cell satisfies.
+    cell. The cap applies to the grid so cut, which can be several times
+    the unrefined ``∏ ℓᵢ``. With every attribute cut and passed to the
+    sweep as shared, no two cells share a state: cells come one region
+    each, in ``itertools.product`` order of the per-attribute intervals,
+    each labelled with the CCs the cell satisfies.
     Returned regions are interchangeable with HYDRA's in the LP builder —
     the formulation differs only in how many variables it takes to express
     the same CCs.
     """
-    n_cells = grid_variable_count(attrs, domain, ccs)
-    if n_cells > CELL_CAP:
-        raise GridTooLarge(n_cells, CELL_CAP)
     cuts = {}
     for a in attrs:
         points = set(cut_points(a, domain[a], ccs))
         if a in shared:
             points |= set(boundaries[a])
         cuts[a] = sorted(points)
+    n_cells = math.prod(len(cuts[a]) + 1 for a in attrs)
+    if n_cells > CELL_CAP:
+        raise GridTooLarge(n_cells, CELL_CAP)
     return partition_lp_regions(attrs, domain, ccs, attrs, cuts)

@@ -23,7 +23,8 @@ The rows are built from the partitions' arrays (:class:`~repro.core.regions.Regi
 a CC's row takes the regions whose label id is one of the labels holding the
 CC, and a consistency row groups the regions by their shared-attribute
 ``(lo, hi)`` columns. A solved region leaves the LP as a point, the row of
-its box's lows where §5.2 places its NumTuples
+its box's lows where §5.2 places its NumTuples, with its count: a row of the
+sub-view's :class:`~repro.core.align.ViewSolution`
 (:meth:`ViewFormulation.subview_solutions`). Every non-TRUE CC must fit in
 some sub-view; :func:`formulate_view` raises otherwise.
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import SubViewSolution
+from .align import ViewSolution
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
 from .regions import Regions, cut_points, partition_lp_regions
@@ -76,10 +77,10 @@ class ViewFormulation:
     def n_vars(self) -> int:
         return sum(s.n_vars for s in self.subviews)
 
-    def subview_solutions(self) -> list[SubViewSolution]:
-        """Per sub-view, in the merge order of ``plan.tree``, a row for
-        every nonzero variable: its region's lows (``Regions.los``) and its
-        count."""
+    def subview_solutions(self) -> list[ViewSolution]:
+        """Per sub-view, in the merge order of ``plan.tree``, its solution
+        over the sub-view's attributes: a row for every nonzero variable,
+        its region's lows (``Regions.los``) and its integer count."""
         assert self.solution is not None
         sols = []
         for i, _ in self.plan.tree:
@@ -87,7 +88,7 @@ class ViewFormulation:
             x = self.solution[s.offset : s.offset + s.n_vars]
             nz = np.flatnonzero(x > 0)
             points = map(tuple, s.regions.los[nz].tolist())
-            sols.append(SubViewSolution(s.attrs, list(zip(points, x[nz].tolist()))))
+            sols.append(ViewSolution(s.attrs, list(zip(points, x[nz].tolist()))))
         return sols
 
 

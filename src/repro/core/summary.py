@@ -1,18 +1,21 @@
 """Database summary generation (paper §5.2–§5.4).
 
-Pipeline after the per-view LP solutions are integrated by
-:mod:`repro.core.align`:
+Every view summary is an :class:`repro.core.align.ViewSolution`, the type
+align/merge (:mod:`repro.core.align`) hands over; the §5 steps below read
+its rows through :meth:`~repro.core.align.ViewSolution.project`.
 
 - **Instantiate** (§5.2): every row already sits at its regions' left
   boundaries — the deterministic choice that minimizes later
-  referential-integrity repair — so the merged points are only put in the
-  view's attribute order, and equal-valued rows coalesced (summing
-  NumTuples).
+  referential-integrity repair — so the merged points are only projected
+  onto the view's attribute order, and equal-valued rows coalesced
+  (summing NumTuples).
 - **Referential repair** (§5.3): views are visited dependents-first
   (reverse topological order); any borrowed value combination missing from
-  the referenced view's solution is added there with NumTuples = 1. The
-  number of added tuples per relation is recorded — it is the paper's
-  "extra tuples" metric (Fig 11) and is independent of data scale.
+  the referenced view's solution is added there with NumTuples = 1. Its
+  tuple is moved from a row with the same CC signature that has one to
+  spare; only when none has is it an extra tuple. The number of extra
+  tuples per relation is recorded — it is the paper's "extra tuples"
+  metric (Fig 11) and is independent of data scale.
 - **Relation summaries** (§5.4): per relation, own non-key attributes +
   NumTuples are projected out of the view solution; each FK value is the
   1-based cumulative-count position of the matching value combination in
@@ -28,28 +31,9 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
-from .align import build_view_solution
+from .align import ViewSolution, build_view_solution
 from .lp import ViewFormulation
 from .schema import Schema
-
-
-@dataclass
-class ViewSummary:
-    """Instantiated view solution: value rows (tuples over attrs) + counts."""
-
-    view: str
-    attrs: tuple[str, ...]
-    rows: list[tuple[tuple[int, ...], int]]
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.rows)
-
-    def coalesce(self) -> None:
-        agg: dict[tuple[int, ...], int] = {}
-        for v, c in self.rows:
-            agg[v] = agg.get(v, 0) + c
-        self.rows = sorted((v, c) for v, c in agg.items() if c > 0)
 
 
 @dataclass
@@ -84,15 +68,14 @@ class DatabaseSummary:
 
 def view_summaries_from_formulations(
     forms: dict[str, ViewFormulation],
-) -> dict[str, ViewSummary]:
+) -> dict[str, ViewSolution]:
     """Run align/merge for every solved view formulation; each summary's
     points are in the plan's view attribute order, coalesced."""
-    out: dict[str, ViewSummary] = {}
+    out: dict[str, ViewSolution] = {}
     for view, form in forms.items():
-        rows, attrs = build_view_solution(form.subview_solutions())
-        canon = form.plan.attrs
-        cols = [attrs.index(a) for a in canon]
-        vs = ViewSummary(view, canon, [(tuple(p[k] for k in cols), c) for p, c in rows])
+        merged = build_view_solution(form.subview_solutions())
+        counts = [c for _, c in merged.rows]
+        vs = ViewSolution(form.plan.attrs, list(zip(merged.project(form.plan.attrs), counts)))
         vs.coalesce()
         out[view] = vs
     return out
@@ -108,21 +91,20 @@ def _signature(
 
 def make_consistent(
     schema: Schema,
-    summaries: dict[str, ViewSummary],
-    view_ccs: dict[str, list] | None = None,
+    summaries: dict[str, ViewSolution],
+    view_ccs: dict[str, list],
 ) -> dict[str, int]:
     """§5.3: referential repair, dependents first. Returns extras/relation.
 
     Improvement over the paper's plain "+1 row" repair (documented in
     DESIGN.md): a demanded-but-missing combination is first satisfied by
     *moving* one tuple from an existing row with the identical
-    CC-satisfaction signature (so every CC count of the referenced view is
-    provably unchanged) — zero net extra tuples. Keeping donors at >= 1
-    preserves previously satisfied FK demands. Only when no signature-equal
-    row has tuples to spare does the paper's additive +1 fallback fire
-    (counted in the returned extras — the Fig 11 metric). ``view_ccs``
-    (view → its CC list) enables donor search; without it the repair is
-    exactly the paper's additive scheme.
+    CC-satisfaction signature under ``view_ccs[target]`` (so every CC count
+    of the referenced view is provably unchanged) — zero net extra tuples.
+    Keeping donors at >= 1 preserves previously satisfied FK demands. Only
+    when no signature-equal row has tuples to spare does the paper's
+    additive +1 fallback fire (counted in the returned extras — the Fig 11
+    metric).
     """
     extras = {r: 0 for r in schema.relations}
     # Index each view's existing value combinations for O(1) membership.
@@ -132,33 +114,20 @@ def make_consistent(
     for rel in schema.reverse_topo_order():
         vi = summaries[rel]
         for target in sorted(schema.dependencies(rel)):
-            vj = summaries[target]
-            ccs_j = (view_ccs or {}).get(target)
-            proj_idx = [vi.attrs.index(a) for a in vj.attrs]
-            missing: set[tuple[int, ...]] = set()
-            for vals, _ in vi.rows:
-                combo = tuple(vals[i] for i in proj_idx)
-                if combo not in keysets[target]:
-                    missing.add(combo)
+            vj, ccs = summaries[target], view_ccs[target]
+            missing = set(vi.project(vj.attrs)) - keysets[target]
             # Donor index: signature → row positions with spare tuples.
             donors: dict[tuple[bool, ...], list[int]] = {}
-            if ccs_j is not None:
-                for i, (vals, c) in enumerate(vj.rows):
-                    if c >= 2:
-                        donors.setdefault(
-                            _signature(ccs_j, vj.attrs, vals), []
-                        ).append(i)
+            for i, (vals, c) in enumerate(vj.rows):
+                if c >= 2:
+                    donors.setdefault(_signature(ccs, vj.attrs, vals), []).append(i)
             for combo in sorted(missing):
-                donated = False
-                if ccs_j is not None:
-                    sig = _signature(ccs_j, vj.attrs, combo)
-                    for di in donors.get(sig, []):
-                        vals, c = vj.rows[di]
-                        if c >= 2:
-                            vj.rows[di] = (vals, c - 1)
-                            donated = True
-                            break
-                if not donated:
+                for di in donors.get(_signature(ccs, vj.attrs, combo), []):
+                    vals, c = vj.rows[di]
+                    if c >= 2:
+                        vj.rows[di] = (vals, c - 1)
+                        break
+                else:  # no donor: the paper's +1
                     extras[target] += 1
                 vj.rows.append((combo, 1))
                 keysets[target].add(combo)
@@ -169,7 +138,7 @@ def make_consistent(
 
 
 def extract_relation_summaries(
-    schema: Schema, summaries: dict[str, ViewSummary]
+    schema: Schema, summaries: dict[str, ViewSolution]
 ) -> dict[str, RelationSummary]:
     """§5.4: project relation summaries and compute FK values.
 
@@ -190,34 +159,23 @@ def extract_relation_summaries(
         rel = schema[rel_name]
         vi = summaries[rel_name]
         own = [a.name for a in rel.attrs]
-        own_idx = [vi.attrs.index(a) for a in own]
         fk_cols = sorted(rel.fks)
-        fk_proj = {}
-        for fk in fk_cols:
-            target = rel.fks[fk]
-            fk_proj[fk] = (target, [vi.attrs.index(a) for a in summaries[target].attrs])
-        records = []
-        for vals, c in vi.rows:
-            rec = {a: vals[i] for a, i in zip(own, own_idx)}
-            for fk in fk_cols:
-                target, idxs = fk_proj[fk]
-                combo = tuple(vals[i] for i in idxs)
-                rec[fk] = starts[target][combo]
-            rec["numtuples"] = c
-            records.append(rec)
+        fk_vals = [
+            [starts[rel.fks[fk]][combo] for combo in vi.project(summaries[rel.fks[fk]].attrs)]
+            for fk in fk_cols
+        ]
         # Merge *adjacent* identical projections only: the row order defines
         # the relation's PK ranges, and FK values elsewhere are positions
         # into exactly this order — a global groupby would break them.
-        merged: list[dict[str, int]] = []
-        for rec in records:
-            if merged and all(
-                merged[-1][k] == rec[k] for k in own + fk_cols
-            ):
-                merged[-1]["numtuples"] += rec["numtuples"]
+        merged: list[list] = []
+        for k, (vals, (_, c)) in enumerate(zip(vi.project(own), vi.rows)):
+            key = vals + tuple(col[k] for col in fk_vals)
+            if merged and merged[-1][0] == key:
+                merged[-1][1] += c
             else:
-                merged.append(rec)
-        frame = pd.DataFrame.from_records(
-            merged, columns=own + fk_cols + ["numtuples"]
+                merged.append([key, c])
+        frame = pd.DataFrame(
+            [key + (c,) for key, c in merged], columns=own + fk_cols + ["numtuples"]
         )
         out[rel_name] = RelationSummary(name=rel_name, frame=frame.astype("int64"))
     return out

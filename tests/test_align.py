@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.align import (
-    SubViewSolution,
+    ViewSolution,
     align_and_merge,
     build_view_solution,
     order_subviews,
@@ -18,7 +18,7 @@ from repro.core.preprocess import (
 )
 
 
-def satisfies_rip(order: list[SubViewSolution]) -> bool:
+def satisfies_rip(order: list[ViewSolution]) -> bool:
     """Each sub-view's overlap with the earlier ones lies in one of them."""
     for i, s in enumerate(order):
         earlier = order[:i]
@@ -66,26 +66,26 @@ class TestOrderSubviews:
     def test_running_intersection_chain(self):
         # Cliques (a,b), (b,c), (c,d): valid orders must keep the chain.
         sols = [
-            SubViewSolution(("a", "b"), []),
-            SubViewSolution(("b", "c"), []),
-            SubViewSolution(("c", "d"), []),
+            ViewSolution(("a", "b"), []),
+            ViewSolution(("b", "c"), []),
+            ViewSolution(("c", "d"), []),
         ]
         order = [s.attrs for s in order_subviews(sols)]
         assert order.index(("b", "c")) == 1  # must sit between the two
 
     def test_disconnected_components_allowed(self):
         sols = [
-            SubViewSolution(("a", "b"), []),
-            SubViewSolution(("x", "y"), []),
+            ViewSolution(("a", "b"), []),
+            ViewSolution(("x", "y"), []),
         ]
         assert len(order_subviews(sols)) == 2
 
     def test_star_order(self):
         # (a,b,c) is the hub; (a,d) and (b,e) both intersect it.
         sols = [
-            SubViewSolution(("a", "d"), []),
-            SubViewSolution(("a", "b", "c"), []),
-            SubViewSolution(("b", "e"), []),
+            ViewSolution(("a", "d"), []),
+            ViewSolution(("a", "b", "c"), []),
+            ViewSolution(("b", "e"), []),
         ]
         order = [s.attrs for s in order_subviews(sols)]
         assert order[0] == ("a", "b", "c")  # largest first (deterministic)
@@ -105,7 +105,7 @@ class TestOrderSubviews:
         if fuse:
             cliques = _fuse_fat_separators(cliques)
         cliques = [tuple(sorted(c)) for c in cliques]
-        sols = [SubViewSolution(c, []) for c in cliques]
+        sols = [ViewSolution(c, []) for c in cliques]
         order = order_subviews(sols)
         assert sorted(s.attrs for s in order) == sorted(s.attrs for s in sols)
         assert satisfies_rip(order)
@@ -135,9 +135,9 @@ class TestOrderSubviews:
         # A triangle's edges as sub-views: the third's overlap {a, c} with
         # the first two lies in neither.
         sols = [
-            SubViewSolution(("a", "b"), []),
-            SubViewSolution(("b", "c"), []),
-            SubViewSolution(("a", "c"), []),
+            ViewSolution(("a", "b"), []),
+            ViewSolution(("b", "c"), []),
+            ViewSolution(("a", "c"), []),
         ]
         with pytest.raises(ValueError, match="running intersection"):
             order_subviews(sols)
@@ -145,8 +145,9 @@ class TestOrderSubviews:
 
 class TestAlignAndMerge:
     def test_adopts_first_subview(self):
-        sub = SubViewSolution(("a",), [((0,), 5)])
-        rows, attrs = align_and_merge([], (), sub)
+        sub = ViewSolution(("a",), [((0,), 5)])
+        merged = align_and_merge(ViewSolution((), []), sub)
+        rows, attrs = merged.rows, merged.attrs
         assert attrs == ("a",)
         assert rows == [((0,), 5)]
 
@@ -154,8 +155,9 @@ class TestAlignAndMerge:
         """§5.1.2's example shape: solutions (A,B) and (A,C) aligned on A,
         rows split so NumTuples match pairwise, then merged positionally."""
         ab = [((0, 0), 30), ((40, 0), 30), ((40, 10), 0)]
-        ac = SubViewSolution(("a", "c"), [((0, 0), 10), ((0, 5), 20), ((40, 0), 30)])
-        rows, attrs = align_and_merge(ab, ("a", "b"), ac)
+        ac = ViewSolution(("a", "c"), [((0, 0), 10), ((0, 5), 20), ((40, 0), 30)])
+        merged = align_and_merge(ViewSolution(("a", "b"), ab), ac)
+        rows, attrs = merged.rows, merged.attrs
         assert attrs == ("a", "b", "c")
         # Row splitting: A=0 row (30) splits into 10 + 20.
         counts = [(point[0], c) for point, c in rows]
@@ -165,8 +167,9 @@ class TestAlignAndMerge:
 
     def test_merge_keeps_common_attr_once(self):
         ab = [((0, 0), 7)]
-        ac = SubViewSolution(("a", "c"), [((0, 0), 7)])
-        rows, attrs = align_and_merge(ab, ("a", "b"), ac)
+        ac = ViewSolution(("a", "c"), [((0, 0), 7)])
+        merged = align_and_merge(ViewSolution(("a", "b"), ab), ac)
+        rows, attrs = merged.rows, merged.attrs
         assert attrs == ("a", "b", "c")
         assert len(rows) == 1
         point, c = rows[0]
@@ -174,8 +177,9 @@ class TestAlignAndMerge:
 
     def test_disconnected_merge_positional(self):
         ab = [((0,), 4), ((10,), 6)]
-        xy = SubViewSolution(("x",), [((0,), 10)])
-        rows, attrs = align_and_merge(ab, ("a",), xy)
+        xy = ViewSolution(("x",), [((0,), 10)])
+        merged = align_and_merge(ViewSolution(("a",), ab), xy)
+        rows, attrs = merged.rows, merged.attrs
         assert attrs == ("a", "x")
         assert sum(c for _, c in rows) == 10
         assert all(len(point) == 2 for point, _ in rows)
@@ -183,14 +187,14 @@ class TestAlignAndMerge:
     def test_rounding_slack_absorbed(self):
         # Left has 10, right has 9: the extra left tuple must survive.
         ab = [((0,), 10)]
-        ac = SubViewSolution(("a", "c"), [((0, 0), 9)])
-        rows, _ = align_and_merge(ab, ("a",), ac)
+        ac = ViewSolution(("a", "c"), [((0, 0), 9)])
+        rows = align_and_merge(ViewSolution(("a",), ab), ac).rows
         assert sum(c for _, c in rows) == 10
 
     def test_zero_count_rows_dropped(self):
         ab = [((0,), 0), ((10,), 5)]
-        ac = SubViewSolution(("a", "c"), [((10, 0), 5)])
-        rows, _ = align_and_merge(ab, ("a",), ac)
+        ac = ViewSolution(("a", "c"), [((10, 0), 5)])
+        rows = align_and_merge(ViewSolution(("a",), ab), ac).rows
         assert all(c > 0 for _, c in rows)
         assert sum(c for _, c in rows) == 5
 
@@ -227,7 +231,8 @@ class TestAlignAndMergeProperties:
     @given(sols=matched_solutions())
     def test_merge_preserves_both_sides(self, sols):
         ab, ac = sols
-        rows, attrs = align_and_merge(ab, ("a", "b"), SubViewSolution(("a", "c"), ac))
+        merged = align_and_merge(ViewSolution(("a", "b"), ab), ViewSolution(("a", "c"), ac))
+        rows, attrs = merged.rows, merged.attrs
         assert attrs == ("a", "b", "c")
         assert coalesced(rows, attrs, ("a", "b")) == coalesced(ab, ("a", "b"), ("a", "b"))
         assert coalesced(rows, attrs, ("a", "c")) == coalesced(ac, ("a", "c"), ("a", "c"))
@@ -245,19 +250,91 @@ class TestAlignAndMergeProperties:
             ab[0] = (ab[0][0], 1)
         if sum(c for _, c in ac) == 0:
             ac[i] = (ac[i][0], 1)
-        rows, attrs = align_and_merge(ab, ("a", "b"), SubViewSolution(("a", "c"), ac))
+        merged = align_and_merge(ViewSolution(("a", "b"), ab), ViewSolution(("a", "c"), ac))
+        rows, attrs = merged.rows, merged.attrs
         assert coalesced(rows, attrs, ("a", "b")) == coalesced(ab, ("a", "b"), ("a", "b"))
         assert sum(c for _, c in rows) == sum(c for _, c in ab)
+
+
+def two_counter_merge(view_rows, view_attrs, sub):
+    """Reference align/merge, the former two-counter walk: returns
+    (rows, attrs). Leftover left counts take the right part of the last
+    merged row; leftover right counts are dropped."""
+    if not view_attrs:
+        return list(sub.rows), tuple(sub.attrs)
+
+    common = [a for a in view_attrs if a in sub.attrs]
+    new = [k for k, a in enumerate(sub.attrs) if a not in view_attrs]
+    new_attrs = view_attrs + tuple(sub.attrs[k] for k in new)
+
+    lcols = [view_attrs.index(a) for a in common]
+    rcols = [sub.attrs.index(a) for a in common]
+    left = sorted(view_rows, key=lambda rc: (tuple(rc[0][k] for k in lcols), rc[0]))
+    right = sorted(sub.rows, key=lambda rc: (tuple(rc[0][k] for k in rcols), rc[0]))
+
+    merged = []
+    i = j = 0
+    li, lj = 0, 0
+    while i < len(left) and j < len(right):
+        lpoint, lc = left[i]
+        rpoint, rc = right[j]
+        take = min(lc - li, rc - lj)
+        if take > 0:
+            merged.append((lpoint + tuple(rpoint[k] for k in new), take))
+        li += take
+        lj += take
+        if li >= lc:
+            i, li = i + 1, 0
+        if lj >= rc:
+            j, lj = j + 1, 0
+    while i < len(left):
+        lpoint, lc = left[i]
+        rem = lc - li
+        if rem > 0 and merged:
+            merged.append((lpoint + merged[-1][0][len(view_attrs):], rem))
+        elif rem > 0:
+            raise ValueError("cannot align: right side empty")
+        i, li = i + 1, 0
+    return merged, new_attrs
+
+
+@st.composite
+def any_solution(draw, pool=("a", "b", "c", "d")):
+    """A solution over up to three attributes of ``pool`` (possibly none),
+    with up to five rows (possibly none) of counts that may be zero."""
+    attrs = tuple(draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)))
+    point = st.tuples(*[st.integers(0, 2) for _ in attrs])
+    rows = draw(st.lists(st.tuples(point, st.integers(0, 4)), max_size=5))
+    return ViewSolution(attrs, rows)
+
+
+class TestAlignAndMergeOracle:
+    @settings(max_examples=2000, deadline=None)
+    @given(view=any_solution(), sub=any_solution())
+    def test_equals_two_counter_merge(self, view, sub):
+        """Cutting at both sides' cumulative counts gives the two-counter
+        walk's rows, row for row, and raises where it raises — with zero
+        counts, unequal totals, disjoint attributes and empty sides."""
+        try:
+            rows, attrs = two_counter_merge(list(view.rows), view.attrs, sub)
+        except ValueError:
+            with pytest.raises(ValueError, match="right side empty"):
+                align_and_merge(view, sub)
+            return
+        merged = align_and_merge(view, sub)
+        assert merged.attrs == attrs
+        assert merged.rows == rows
 
 
 class TestBuildViewSolution:
     def test_chain_of_three_subviews(self):
         sols = [
-            SubViewSolution(("a", "b"), [((0, 0), 6), ((1, 1), 4)]),
-            SubViewSolution(("b", "c"), [((0, 0), 6), ((1, 1), 4)]),
-            SubViewSolution(("c", "d"), [((0, 0), 2), ((0, 1), 4), ((1, 0), 4)]),
+            ViewSolution(("a", "b"), [((0, 0), 6), ((1, 1), 4)]),
+            ViewSolution(("b", "c"), [((0, 0), 6), ((1, 1), 4)]),
+            ViewSolution(("c", "d"), [((0, 0), 2), ((0, 1), 4), ((1, 0), 4)]),
         ]
-        rows, attrs = build_view_solution(sols)
+        merged = build_view_solution(sols)
+        rows, attrs = merged.rows, merged.attrs
         assert set(attrs) == {"a", "b", "c", "d"}
         assert sum(c for _, c in rows) == 10
         # b=0 tuples must all carry c=0 (consistency through the chain).

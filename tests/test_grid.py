@@ -100,11 +100,11 @@ class TestGridPartition:
 
     def test_shared_attribute_cut_at_boundaries(self, monkeypatch):
         """Cells are cut at the consistency boundaries too, so each cell's
-        interval on a shared attribute is one boundary cell; the cap still
-        counts the unrefined ∏ℓᵢ."""
+        interval on a shared attribute is one boundary cell; a cap equal to
+        the cells so cut lets the grid through."""
         ccs = person_ccs()
         bounds = [20, 40, 50, 60]
-        monkeypatch.setattr(grid, "CELL_CAP", 16)
+        monkeypatch.setattr(grid, "CELL_CAP", 20)
         cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, ("age",), {"age": bounds})
         cuts = [0] + bounds + [100]
         assert {(c.box["age"].lo, c.box["age"].hi) for c in cells} == set(zip(cuts, cuts[1:]))
@@ -112,6 +112,17 @@ class TestGridPartition:
         assert sum(area(c.box) for c in cells) == 100 * 100
         plain = {c.label for c in grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, (), {})}
         assert {c.label for c in cells} == plain
+
+    def test_cap_counts_cells_cut_at_boundaries(self, monkeypatch):
+        """The cap bounds the grid that is built: 4 × 4 unrefined cells are
+        within a cap of 16, but the boundary cuts on age make 5 × 4."""
+        bounds = {"age": [20, 40, 50, 60]}
+        attrs = ("age", "salary")
+        assert grid_variable_count(attrs, PERSON_DOMAIN, person_ccs()) == 16
+        monkeypatch.setattr(grid, "CELL_CAP", 16)
+        with pytest.raises(GridTooLarge) as exc:
+            grid_partition(attrs, PERSON_DOMAIN, person_ccs(), ("age",), bounds)
+        assert exc.value.n_cells == 20
 
     def test_cap_raises_grid_too_large(self, monkeypatch):
         attrs = tuple(f"a{i}" for i in range(10))

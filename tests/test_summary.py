@@ -9,7 +9,8 @@ from repro.core.hydra import regenerate
 from repro.core.lp import formulate_view, solve_view
 from repro.core.metrics import achieved_counts_pandas, max_abs_error
 from repro.core.preprocess import ViewPlan, rewrite_ccs
-from repro.core.summary import ViewSummary, make_consistent, view_summaries_from_formulations
+from repro.core.align import ViewSolution
+from repro.core.summary import make_consistent, view_summaries_from_formulations
 from repro.core.tuplegen import database_to_pandas, decode_rows, relation_to_pandas
 from repro.core.workload import base_size_ccs, derive_ccs_pandas
 
@@ -39,12 +40,12 @@ class TestInstantiateView:
         assert vs.rows == [((40, 5, 2), 10000)]
 
     def test_coalesce_merges_equal_values(self):
-        vs = ViewSummary("v", ("a",), [((0,), 3), ((5,), 1), ((0,), 4)])
+        vs = ViewSolution(("a",), [((0,), 3), ((5,), 1), ((0,), 4)])
         vs.coalesce()
         assert vs.rows == [((0,), 7), ((5,), 1)]
 
     def test_zero_rows_dropped(self):
-        vs = ViewSummary("v", ("a",), [((0,), 0)])
+        vs = ViewSolution(("a",), [((0,), 0)])
         vs.coalesce()
         assert vs.rows == []
 
@@ -53,11 +54,16 @@ class TestMakeConsistent:
     def test_missing_combo_added_with_count_1(self):
         sch = toy_schema()
         summaries = {
-            "r": ViewSummary("r", ("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
-            "s": ViewSummary("s", ("a", "b"), [((0, 0), 700)]),  # (7,1) missing
-            "t": ViewSummary("t", ("c",), [((2,), 150)]),
+            "r": ViewSolution(("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
+            "s": ViewSolution(("a", "b"), [((0, 0), 700)]),  # (7,1) missing
+            "t": ViewSolution(("c",), [((2,), 150)]),
         }
-        extras = make_consistent(sch, summaries)
+        # (7, 1) misses the CC that (0, 0) meets: no donor.
+        view_ccs = {
+            "s": [total_cc("s", 700), CC("s", Predicate.of(a=(0, 5)), 700)],
+            "t": [total_cc("t", 150)],
+        }
+        extras = make_consistent(sch, summaries, view_ccs)
         assert extras["s"] == 1
         assert ((7, 1), 1) in summaries["s"].rows
         assert extras["t"] == 0  # (2,) already present
@@ -75,27 +81,36 @@ class TestMakeConsistent:
             ]
         )
         summaries = {
-            "r": ViewSummary("r", ("x", "a", "d"), [((9, 9, 0), 5)]),
-            "s": ViewSummary("s", ("x", "a"), [((0, 0), 10)]),
-            "u": ViewSummary("u", ("x",), [((0,), 10)]),
+            "r": ViewSolution(("x", "a", "d"), [((9, 9, 0), 5)]),
+            "s": ViewSolution(("x", "a"), [((0, 0), 10)]),
+            "u": ViewSolution(("x",), [((0,), 10)]),
         }
-        extras = make_consistent(sch, summaries)
+        # The missing combinations miss the CCs the existing rows meet: no donor.
+        view_ccs = {
+            "s": [total_cc("s", 10), CC("s", Predicate.of(a=(0, 5)), 10)],
+            "u": [total_cc("u", 10), CC("u", Predicate.of(x=(0, 5)), 10)],
+        }
+        extras = make_consistent(sch, summaries, view_ccs)
         assert extras["s"] == 1  # (9,9) added to s
         assert extras["u"] == 1  # (9,) then added to u
 
     def test_no_extras_when_consistent(self):
         sch = toy_schema()
         summaries = {
-            "r": ViewSummary("r", ("a", "b", "c", "d"), [((1, 2, 3, 4), 10)]),
-            "s": ViewSummary("s", ("a", "b"), [((1, 2), 10)]),
-            "t": ViewSummary("t", ("c",), [((3,), 10)]),
+            "r": ViewSolution(("a", "b", "c", "d"), [((1, 2, 3, 4), 10)]),
+            "s": ViewSolution(("a", "b"), [((1, 2), 10)]),
+            "t": ViewSolution(("c",), [((3,), 10)]),
         }
-        extras = make_consistent(sch, summaries)
+        view_ccs = {"s": [total_cc("s", 10)], "t": [total_cc("t", 10)]}
+        extras = make_consistent(sch, summaries, view_ccs)
         assert extras == {"r": 0, "s": 0, "t": 0}
 
-    S_CCS = {"s": [total_cc("s", 8), CC("s", Predicate.of(a=(0, 50)), 5)]}
+    S_CCS = {
+        "s": [total_cc("s", 8), CC("s", Predicate.of(a=(0, 50)), 5)],
+        "t": [total_cc("t", 150)],
+    }
 
-    def _cc_counts(self, vs: ViewSummary) -> list[int]:
+    def _cc_counts(self, vs: ViewSolution) -> list[int]:
         return [
             sum(c for vals, c in vs.rows if cc.predicate.matches_point(dict(zip(vs.attrs, vals))))
             for cc in self.S_CCS["s"]
@@ -106,9 +121,9 @@ class TestMakeConsistent:
         signature with count >= 2: no extra tuple, no CC count moves."""
         sch = toy_schema()
         summaries = {
-            "r": ViewSummary("r", ("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
-            "s": ViewSummary("s", ("a", "b"), [((0, 0), 5), ((60, 0), 3)]),
-            "t": ViewSummary("t", ("c",), [((2,), 150)]),
+            "r": ViewSolution(("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
+            "s": ViewSolution(("a", "b"), [((0, 0), 5), ((60, 0), 3)]),
+            "t": ViewSolution(("c",), [((2,), 150)]),
         }
         before = self._cc_counts(summaries["s"])
         extras = make_consistent(sch, summaries, self.S_CCS)
@@ -123,9 +138,9 @@ class TestMakeConsistent:
         """A row of count 1, or of another CC signature, gives nothing."""
         sch = toy_schema()
         summaries = {
-            "r": ViewSummary("r", ("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
-            "s": ViewSummary("s", ("a", "b"), list(rows)),
-            "t": ViewSummary("t", ("c",), [((2,), 150)]),
+            "r": ViewSolution(("a", "b", "c", "d"), [((7, 1, 2, 3), 100)]),
+            "s": ViewSolution(("a", "b"), list(rows)),
+            "t": ViewSolution(("c",), [((2,), 150)]),
         }
         extras = make_consistent(sch, summaries, self.S_CCS)
         assert extras["s"] == 1
