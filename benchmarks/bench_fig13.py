@@ -1,8 +1,10 @@
 """Fig 13 (LP processing time on WLc), per view: writes ``BENCH_fig13.json``.
 
 For each WLc query seed (TPC-DS-lite at SF 0.01, 80 queries: seeds 101,
-103 and 104) this runs :func:`repro.core.hydra.regenerate` and records,
-per view, its formulate and solve wall times (``Timings.views``), its
+103 and 104) this runs :func:`repro.core.hydra.regenerate` :data:`CALLS`
+times and records, per view, the median of its formulate and solve wall
+times (``Timings.views``; one call's time of one layer can move by an
+order of magnitude with a single pause), its
 label-only region count (the sub-views partitioned on their CC labels
 alone, the count the benchmark's ``regions.label_regions`` counter reports
 in ``hydrabench/layers.py``; repeated here so this script needs only
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -35,6 +38,8 @@ from repro.tpcds.workload import make_wlc
 
 OUT = Path(__file__).resolve().parent / "BENCH_fig13.json"
 SEEDS = (101, 103, 104)
+#: ``regenerate`` calls per seed; every wall time recorded is their median.
+CALLS = 3
 PAPER = {
     "hydra_lp_s": 58,
     "datasynth": "solver crash",
@@ -71,20 +76,25 @@ def totals(queries: int, seed: int, ccs, views: dict) -> dict:
 
 
 def run_wlc(seed: int) -> dict:
-    """WLc with 80 queries of ``seed``, end to end."""
+    """WLc with 80 queries of ``seed``, end to end, :data:`CALLS` times."""
     schema = tpcds_schema()
     ccs = workload.client_ccs(
         schema, tpcds_generator.generate_client_db(0.01, seed=0), make_wlc(80, seed=seed))
-    result = hydra.regenerate(schema, ccs)
-    t = result.timings
+    results = [hydra.regenerate(schema, ccs) for _ in range(CALLS)]
+    timings = [r.timings for r in results]
+
+    def median(get, digits):
+        return round(statistics.median(get(t) for t in timings), digits)
+
     views = {
-        view: {"formulate_s": round(t.views[view][0], 4),
-               "solve_s": round(t.views[view][1], 4), **lp_size(form)}
-        for view, form in result.formulations.items()
+        view: {"formulate_s": median(lambda t: t.views[view][0], 4),
+               "solve_s": median(lambda t: t.views[view][1], 4), **lp_size(form)}
+        for view, form in results[0].formulations.items()
     }
     out = totals(80, seed, ccs, views)
-    out.update(solve_s=round(t.solve_s, 3), summary_s=round(t.summary_s, 3),
-               regenerate_s=round(t.total_s, 3), views=views)
+    out.update(calls=CALLS, solve_s=median(lambda t: t.solve_s, 3),
+               summary_s=median(lambda t: t.summary_s, 3),
+               regenerate_s=median(lambda t: t.total_s, 3), views=views)
     return out
 
 

@@ -23,6 +23,23 @@ solver's contract is ROADMAP item 2.
 coefficient array. A solve builds the dense phase-1 tableau straight from
 those rows (:func:`phase1_tableau`, no intermediate dense ``A``) and updates
 its rows in place; the residual check reads the sparse rows.
+
+A pivot on ``T[r, j]`` divides row ``r`` by it, then subtracts
+``mu * T[r]`` from every other row whose ``mu = T[i, j]`` is nonzero. The
+update does the same IEEE-754 operations as that textbook form, or ones
+equal to them bit for bit, but fewer passes over the rows:
+
+* the pivot row is divided only when ``T[r, j] != 1.0`` (``y / 1.0 == y``);
+* a row with ``mu == 1.0`` has the pivot row subtracted directly
+  (``a - 1.0 * y == a - y``), and one with ``mu == -1.0`` added
+  (``a - (-y)`` is ``a + y`` by definition);
+* the rows are grouped by ``mu``, and each other multiple ``mu * T[r]`` is
+  computed once per pivot and subtracted from every row of its group.
+
+Each row is updated from the same pivot row, so their order does not
+matter, and every basic solution (every LP vertex) is the one the textbook
+loop reaches. Most pivots of the region LPs are 1.0 and most multipliers
+±1, since their rows are sums of variables.
 """
 from __future__ import annotations
 
@@ -147,7 +164,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     T = phase1_tableau(system)
     scale = np.abs(system._rhs())
     basis = list(range(n, n + m))
-    tmp = np.empty(n + m + 1)  # one pivot row update, reused
+    tmp = np.empty(n + m + 1)  # one multiple of the pivot row, reused
 
     stall = 0
     last_obj = T[m, -1]
@@ -175,12 +192,24 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         cand = np.flatnonzero(ratios <= rmin + _TOL)
         # Bland tie-break on leaving variable index for anti-cycling.
         r = int(min(cand, key=lambda i: basis[i]))
-        piv = T[r, j]
-        T[r] /= piv
-        for i in np.flatnonzero(np.abs(T[:, j]) > 1e-12):
+        prow = T[r]
+        if prow[j] != 1.0:
+            prow /= prow[j]
+        # Rows to eliminate, grouped by multiplier.
+        groups: dict[float, list[int]] = {}
+        nz = np.flatnonzero(np.abs(T[:, j]) > 1e-12)
+        for i, mu in zip(nz.tolist(), T[nz, j].tolist()):
             if i != r:
-                np.multiply(T[i, j], T[r], out=tmp)
-                np.subtract(T[i], tmp, out=T[i])
+                groups.setdefault(mu, []).append(i)
+        for mu, rows in groups.items():
+            if mu == 1.0:
+                op, y = np.subtract, prow
+            elif mu == -1.0:
+                op, y = np.add, prow
+            else:
+                op, y = np.subtract, np.multiply(mu, prow, out=tmp)
+            for i in rows:
+                op(T[i], y, out=T[i])
         basis[r] = j
         if not bland:
             # Progress in phase-1 raises T[m, -1] (= -objective) toward 0;

@@ -3,7 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import hydra, preprocess, workload
+from repro.core.lp import formulate_view
 from repro.core.solver import (
+    _STALL_LIMIT,
+    _TOL,
     Infeasible,
     LinearSystem,
     Terms,
@@ -11,6 +15,8 @@ from repro.core.solver import (
     round_solution,
     solve_feasible,
 )
+
+from .test_substrates import GOLDEN
 
 
 def _check(system: LinearSystem, x: np.ndarray) -> None:
@@ -195,3 +201,181 @@ class TestRoundSolution:
         out = round_solution(x)
         assert out.tolist() == [1, 0, 2, 3]
         assert out.dtype == np.int64
+
+
+def _reference_solve(system: LinearSystem, seen: dict | None = None) -> np.ndarray:
+    """The pivot loop as it was before the row update grouped its
+    multipliers: divide the pivot row, then for every other row with a
+    nonzero in the pivot column subtract ``T[i, j] * T[r]``. ``seen``, when
+    given, counts what the drawn systems exercise: pivots other than 1.0,
+    multipliers ±1, non-unit multipliers shared by several rows of one
+    pivot, and whether the Bland switch was reached."""
+    seen = {} if seen is None else seen
+    for key in ("non_unit_pivots", "unit_mus", "shared_non_unit_mus", "bland"):
+        seen.setdefault(key, 0)
+    m, n = len(system.rows), system.n_vars
+    if m == 0:
+        return np.zeros(n)
+    T = phase1_tableau(system)
+    scale = np.abs(system._rhs())
+    basis = list(range(n, n + m))
+    tmp = np.empty(n + m + 1)
+
+    stall = 0
+    last_obj = T[m, -1]
+    bland = False
+    for _ in range(50 * (m + n) + 1000):
+        costs = T[m, : n + m]
+        if bland:
+            negs = np.flatnonzero(costs < -_TOL)
+            if negs.size == 0:
+                break
+            j = int(negs[0])
+        else:
+            j = int(np.argmin(costs))
+            if costs[j] >= -_TOL:
+                break
+        col = T[:m, j]
+        pos = col > _TOL
+        if not pos.any():
+            raise Infeasible("phase-1 column with no positive entries")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = T[:m, -1][pos] / col[pos]
+        rmin = ratios.min()
+        cand = np.flatnonzero(ratios <= rmin + _TOL)
+        r = int(min(cand, key=lambda i: basis[i]))
+        piv = T[r, j]
+        seen["non_unit_pivots"] += piv != 1.0
+        T[r] /= piv
+        mus = []
+        for i in np.flatnonzero(np.abs(T[:, j]) > 1e-12):
+            if i != r:
+                mus.append(T[i, j])
+                np.multiply(T[i, j], T[r], out=tmp)
+                np.subtract(T[i], tmp, out=T[i])
+        seen["unit_mus"] += sum(abs(mu) == 1.0 for mu in mus)
+        non_unit = [mu for mu in mus if abs(mu) != 1.0]
+        seen["shared_non_unit_mus"] += len(non_unit) - len(set(non_unit))
+        basis[r] = j
+        if not bland:
+            if abs(T[m, -1] - last_obj) < 1e-12:
+                stall += 1
+                if stall >= _STALL_LIMIT:
+                    bland = True
+                    seen["bland"] += 1
+            else:
+                stall = 0
+            last_obj = T[m, -1]
+    obj = -T[m, -1]
+    if obj > 1e-6 * max(1.0, scale.sum()):
+        raise Infeasible(f"phase-1 optimum {obj:g} > 0")
+
+    x = np.zeros(n + m)
+    for r, j in enumerate(basis):
+        x[j] = T[r, -1]
+    x = np.clip(x[:n], 0.0, None)
+    res = system.residuals(x)
+    if np.abs(res).max() > 1e-6 * max(1.0, scale.max()):
+        raise Infeasible(f"verified residual too large: {np.abs(res).max():g}")
+    return x
+
+
+def _outcome(solve, system: LinearSystem, **kw):
+    """``x`` as its int64 bit patterns, or the :class:`Infeasible` message."""
+    try:
+        return solve(system, **kw).view(np.int64).tolist()
+    except Infeasible as exc:
+        return f"Infeasible: {exc}"
+
+
+def _assert_same_bits(system: LinearSystem, seen: dict | None = None) -> None:
+    assert _outcome(solve_feasible, system) == _outcome(_reference_solve, system, seen=seen)
+
+
+def _small_int_system(rng, n: int, m: int, density: float, zero_frac: float) -> LinearSystem:
+    """``A x* = b`` with ``A`` in {-3..3} at ``density``, ``x* >= 0`` with a
+    ``zero_frac`` share of zeros (degenerate vertices), a total row and one
+    signed consistency-like row ``sum(x[S]) - sum(x[T]) = d``."""
+    A = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < density)
+    xstar = rng.integers(0, 6, n) * (rng.random(n) >= zero_frac)
+    s = LinearSystem(n)
+    s.add_sum(range(n), int(xstar.sum()))
+    for a in A:
+        idx = np.flatnonzero(a)
+        s.add(Terms(idx, a[idx].astype(float)), float(a @ xstar))
+    left, right = np.array_split(rng.permutation(n), 2)
+    s.add(Terms(np.concatenate([left, right]),
+                np.concatenate([np.ones(len(left)), -np.ones(len(right))])),
+          float(xstar[left].sum() - xstar[right].sum()))
+    return s
+
+
+def _degenerate_system(rng, n: int) -> LinearSystem:
+    """A total over ``2n`` consistency-like rows ``x_a + x_b - x_c - x_d = 0``:
+    feasible (the uniform point), and degenerate enough to reach the Bland
+    switch."""
+    s = LinearSystem(n)
+    s.add_sum(range(n), 100)
+    for _ in range(2 * n):
+        a, b, c, d = rng.choice(n, 4, replace=False)
+        s.add([(a, 1.0), (b, 1.0), (c, -1.0), (d, -1.0)], 0)
+    return s
+
+
+class TestBitwiseAgainstReference:
+    """:func:`solve_feasible` returns the same bits as the plain pivot loop,
+    or raises the same :class:`Infeasible`."""
+
+    def test_seeded_systems_cover_every_update_path(self):
+        rng = np.random.default_rng(14)
+        seen: dict = {}
+        for _ in range(12):
+            n, m = int(rng.integers(20, 120)), int(rng.integers(5, 40))
+            _assert_same_bits(
+                _small_int_system(rng, n, m, density=0.3, zero_frac=0.5), seen)
+        degenerate = _degenerate_system(rng, 40)
+        _assert_same_bits(degenerate, seen)
+        _check(degenerate, solve_feasible(degenerate))
+        assert seen["non_unit_pivots"] > 0
+        assert seen["unit_mus"] > 0
+        assert seen["shared_non_unit_mus"] > 0
+        assert seen["bland"] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_small_integer_systems(self, data):
+        n = data.draw(st.integers(1, 14))
+        m = data.draw(st.integers(1, 9))
+        coef = st.integers(-3, 3)
+        xstar = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        s = LinearSystem(n)
+        for _ in range(m):
+            a = np.array(data.draw(st.lists(coef, min_size=n, max_size=n)))
+            idx = np.flatnonzero(a)
+            rhs = float(a @ xstar) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+            s.add(Terms(idx, a[idx].astype(float)), rhs)
+        if data.draw(st.booleans()):
+            left = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+            right = [i for i in range(n) if i not in left]
+            s.add([(i, 1.0) for i in left] + [(i, -1.0) for i in right],
+                  float(xstar[left].sum() - xstar[right].sum()))
+        _assert_same_bits(s)
+
+
+@pytest.mark.parametrize("name", ["wlc-101", "job-lite-303"])
+def test_substrate_lps_match_reference_bitwise(name):
+    """Every view's LP solution equals the plain pivot loop's, bit for bit;
+    on wlc-101 the basic solution has 29 fractional variables, 23 in
+    date_dim and 6 in store_returns."""
+    (make_schema, make_db, make_queries), scale, _ = GOLDEN[name]
+    schema, db = make_schema(), make_db()
+    ccs = hydra.scale_ccs(workload.client_ccs(schema, db, make_queries()), scale)
+    fractional = {}
+    for view, plan in preprocess.plan_views(schema, ccs).items():
+        system = formulate_view(plan).system
+        x = solve_feasible(system)
+        assert x.view(np.int64).tolist() == _reference_solve(system).view(np.int64).tolist(), view
+        if k := int(np.count_nonzero(np.abs(x - np.rint(x)) > 1e-9)):
+            fractional[view] = k
+    if name == "wlc-101":
+        assert fractional == {"date_dim": 23, "store_returns": 6}
