@@ -3,8 +3,10 @@
 Differences from HYDRA, all reproduced here because every evaluation table
 compares against them:
 
-- **Grid-partitioning** LP formulation (``mode="grid"``): ∏ℓᵢ variables per
-  sub-view; the LP solver fails beyond a cap (paper: Z3 crash on WLc).
+- **Grid-partitioning** LP formulation: :func:`regenerate` plans the views
+  as HYDRA does, then builds each view's LP on the grid
+  (``formulate_view(plan, mode="grid")``, ∏ℓᵢ variables per sub-view) and
+  solves it; the LP solver fails beyond a cap (paper: Z3 crash on WLc).
 - **Sampling-based instantiation** (§3.2, §5.1): instead of deterministic
   align/merge on summaries, DataSynth materializes each *view instance* by
   sampling tuples from the solved sub-views, in the merge order of the
@@ -22,14 +24,14 @@ compares against them:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
 from .constraints import CC
-from .hydra import Timings, regenerate
-from .lp import ViewFormulation
+from .lp import ViewFormulation, formulate_view, solve_view
+from .preprocess import plan_views
 from .schema import Schema
 
 
@@ -37,12 +39,22 @@ from .schema import Schema
 class DataSynthResult:
     """Materialized relation instances plus the comparison metrics."""
 
-    schema: Schema
     relations: dict[str, pd.DataFrame]
     formulations: dict[str, ViewFormulation]
     extra_tuples: dict[str, int]
-    timings: Timings = field(default_factory=Timings)
     instantiate_s: float = 0.0
+
+
+def regenerate(schema: Schema, ccs: list[CC]) -> dict[str, ViewFormulation]:
+    """DataSynth's LP stage: each view's grid LP, solved.
+
+    Raises :class:`repro.core.grid.GridTooLarge` when a sub-view's grid
+    exceeds :data:`repro.core.grid.CELL_CAP` (the paper's WLc outcome).
+    """
+    return {
+        view: solve_view(formulate_view(plan, mode="grid"))
+        for view, plan in plan_views(schema, ccs).items()
+    }
 
 
 def _sample_view_instance(
@@ -105,9 +117,10 @@ def _extract_relations(
     """Instance-level referential repair + relation extraction.
 
     Mirrors §5.3/§5.4 but over full materialized views: dependents first,
-    append a tuple to the referenced view for every missing combination;
-    then assign FKs by matching value combinations to referenced row
-    positions (first match), PK = row position.
+    append a tuple to the referenced view for every distinct combination
+    it lacks, in the order the combinations first appear; then assign FKs
+    by matching value combinations to referenced row positions (first
+    match), PK = row position.
     """
     extras = {r: 0 for r in schema.relations}
     for rel in schema.reverse_topo_order():
@@ -115,37 +128,23 @@ def _extract_relations(
         for target in sorted(schema.dependencies(rel)):
             vj = instances[target]
             tcols = list(vj.columns)
-            have = set(map(tuple, vj[tcols].to_numpy()))
-            need_rows = vi[tcols].drop_duplicates()
-            missing = [
-                tuple(row)
-                for row in need_rows.to_numpy()
-                if tuple(row) not in have
-            ]
-            if missing:
-                instances[target] = pd.concat(
-                    [vj, pd.DataFrame(missing, columns=tcols)], ignore_index=True
-                )
+            need = vi[tcols].drop_duplicates()
+            found = need.merge(vj.drop_duplicates(), how="left", on=tcols, indicator=True)
+            missing = need[(found["_merge"] == "left_only").to_numpy()]
+            if len(missing):
+                instances[target] = pd.concat([vj, missing], ignore_index=True)
                 extras[target] += len(missing)
 
     relations: dict[str, pd.DataFrame] = {}
-    # First-match position index per referenced view.
-    first_pos: dict[str, dict[tuple, int]] = {}
-    for rel in schema.relations:
-        vj = instances[rel]
-        pos: dict[tuple, int] = {}
-        for i, row in enumerate(map(tuple, vj.to_numpy())):
-            pos.setdefault(row, i + 1)
-        first_pos[rel] = pos
     for rel_name in schema.topo_order():
         rel = schema[rel_name]
         vi = instances[rel_name]
         out = pd.DataFrame({rel.pk: np.arange(1, len(vi) + 1, dtype=np.int64)})
         for fk in sorted(rel.fks):
-            target = rel.fks[fk]
-            tcols = [a.name for a in schema.view_attrs(target)]
-            pos = first_pos[target]
-            out[fk] = [pos[t] for t in map(tuple, vi[tcols].to_numpy())]
+            vj = instances[rel.fks[fk]]
+            tcols = list(vj.columns)
+            first = vj.assign(_pos=np.arange(1, len(vj) + 1)).drop_duplicates(tcols)
+            out[fk] = vi[tcols].merge(first, how="left", on=tcols)["_pos"].to_numpy()
         for a in rel.attrs:
             out[a.name] = vi[a.name].to_numpy()
         relations[rel_name] = out
@@ -163,20 +162,15 @@ def regenerate_datasynth(
     Raises :class:`repro.core.grid.GridTooLarge` when a sub-view's grid
     exceeds :data:`repro.core.grid.CELL_CAP` (the paper's WLc outcome).
     """
-    base = regenerate(schema, ccs, mode="grid")
+    forms = regenerate(schema, ccs)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    instances = {
-        view: _sample_view_instance(form, rng)
-        for view, form in base.formulations.items()
-    }
+    instances = {view: _sample_view_instance(form, rng) for view, form in forms.items()}
     relations, extras = _extract_relations(schema, instances)
     inst_s = time.perf_counter() - t0
     return DataSynthResult(
-        schema=schema,
         relations=relations,
-        formulations=base.formulations,
+        formulations=forms,
         extra_tuples=extras,
-        timings=base.timings,
         instantiate_s=inst_s,
     )

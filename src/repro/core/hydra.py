@@ -3,7 +3,8 @@
 ``regenerate`` wires the vendor-site pipeline together: preprocessor
 (views, sub-views and their junction tree) → LP formulation
 (region-partitioning) → solver → deterministic summary generation, which
-merges each view's sub-views along the plan's tree. Timings for each stage
+merges each view's sub-views along the plan's tree. The DataSynth baseline
+runs its own grid LP (:func:`repro.core.datasynth.regenerate`). Timings for each stage
 are recorded because the paper's headline results (Figs 13/14, §7.4) are
 stage wall-clock times; variable counts per view feed Figs 12/17.
 """
@@ -40,7 +41,6 @@ class Timings:
 class HydraResult:
     """Everything downstream experiments need from one regeneration run."""
 
-    schema: Schema
     summary: DatabaseSummary
     formulations: dict[str, ViewFormulation]
     timings: Timings = field(default_factory=Timings)
@@ -49,25 +49,14 @@ class HydraResult:
         return sum(f.n_vars for f in self.formulations.values())
 
 
-def regenerate(
-    schema: Schema,
-    ccs: list[CC],
-    *,
-    mode: str = "region",
-) -> HydraResult:
-    """Run the full vendor-site pipeline and build the database summary.
-
-    ``mode="grid"`` swaps in DataSynth's partitioning (used by the baseline
-    and the Fig 12/13 comparisons); it raises
-    :class:`repro.core.grid.GridTooLarge` when a sub-view's grid is beyond
-    :data:`repro.core.grid.CELL_CAP`, reproducing the paper's solver-crash outcome.
-    """
+def regenerate(schema: Schema, ccs: list[CC]) -> HydraResult:
+    """Run the full vendor-site pipeline and build the database summary."""
     timings = Timings()
     plans = plan_views(schema, ccs)
     forms: dict[str, ViewFormulation] = {}
     for view, plan in plans.items():
         t0 = time.perf_counter()
-        form = formulate_view(plan, mode=mode)
+        form = formulate_view(plan)
         t1 = time.perf_counter()
         solve_view(form)
         t2 = time.perf_counter()
@@ -78,7 +67,7 @@ def regenerate(
     t0 = time.perf_counter()
     summary = build_database_summary(schema, forms)
     timings.summary_s = time.perf_counter() - t0
-    return HydraResult(schema=schema, summary=summary, formulations=forms, timings=timings)
+    return HydraResult(summary=summary, formulations=forms, timings=timings)
 
 
 def scale_ccs(ccs: list[CC], factor: float) -> list[CC]:

@@ -69,13 +69,19 @@ class ViewFormulation:
     subviews: list[SubViewFormulation]
     system: LinearSystem
     solution: np.ndarray | None = None
-    #: Analytic grid size (∏ℓᵢ summed over sub-views) for reporting, set in
-    #: both modes so Fig 12 can compare without materializing the grid.
-    grid_vars_analytic: int = 0
 
     @property
     def n_vars(self) -> int:
         return sum(s.n_vars for s in self.subviews)
+
+    @property
+    def grid_vars_analytic(self) -> int:
+        """Analytic grid size (∏ℓᵢ summed over sub-views), the same in both
+        modes, so Fig 12 can compare without materializing the grid."""
+        return sum(
+            grid_variable_count(s.attrs, self.plan.domain, [self.plan.ccs[i] for i in s.ccs])
+            for s in self.subviews
+        )
 
     def subview_solutions(self) -> list[ViewSolution]:
         """Per sub-view, in the merge order of ``plan.tree``, its solution
@@ -165,11 +171,9 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
     # 2. Partition each sub-view against the CCs it can express, cut at
     #    the shared-attribute boundaries.
     sub_forms: list[SubViewFormulation] = []
-    grid_total = 0
     for sv, sv_ccs in zip(plan.subviews, sv_cc_idx):
         cc_objs = [plan.ccs[i] for i in sv_ccs]
         domain = {a: plan.domain[a] for a in sv}
-        grid_total += grid_variable_count(sv, domain, cc_objs)
         sh = tuple(a for a in sv if a in shared_attrs)
         if mode == "region":
             regions = partition_lp_regions(sv, domain, cc_objs, sh, boundaries)
@@ -209,13 +213,7 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
             coef = np.concatenate([np.ones(len(left)), -np.ones(len(right))])
             system.add(Terms(np.concatenate([left, right]), coef), 0.0)
 
-    return ViewFormulation(
-        view=plan.view,
-        plan=plan,
-        subviews=sub_forms,
-        system=system,
-        grid_vars_analytic=grid_total,
-    )
+    return ViewFormulation(view=plan.view, plan=plan, subviews=sub_forms, system=system)
 
 
 def solve_view(form: ViewFormulation) -> ViewFormulation:

@@ -43,16 +43,6 @@ class Relation:
     attrs: tuple[Attribute, ...]
     fks: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def attr_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attrs)
-
-    def attr(self, name: str) -> Attribute:
-        for a in self.attrs:
-            if a.name == name:
-                return a
-        raise KeyError(f"{self.name} has no non-key attribute {name}")
-
 
 class Schema:
     """A set of relations whose FK references form a DAG (§5.3).
@@ -75,7 +65,6 @@ class Schema:
                         f"attribute {a.name} appears in both {seen[a.name]} and {r.name}"
                     )
                 seen[a.name] = r.name
-        self._attr_owner = seen
         for r in relations:
             for fk_col, target in r.fks.items():
                 if target not in self.relations:
@@ -85,16 +74,6 @@ class Schema:
 
     def __getitem__(self, name: str) -> Relation:
         return self.relations[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.relations
-
-    def attr(self, name: str) -> Attribute:
-        """Look up a non-key attribute anywhere in the schema."""
-        return self.relations[self._attr_owner[name]].attr(name)
-
-    def attr_owner(self, name: str) -> str:
-        return self._attr_owner[name]
 
     def dependencies(self, name: str) -> set[str]:
         """Direct FK targets of ``name``."""

@@ -128,6 +128,17 @@ class Infeasible(RuntimeError):
     """The constraint system admits no non-negative solution."""
 
 
+class PivotBudgetExhausted(RuntimeError):
+    """The pivot loop ran out of pivots before phase 1 reached a zero
+    objective; whether the system is feasible was not established."""
+
+
+def _pivot_budget(m: int, n: int) -> int:
+    """Pivots :func:`solve_feasible` may take on ``m`` rows and ``n``
+    variables: generous, Bland guarantees we never cycle."""
+    return 50 * (m + n) + 1000
+
+
 def phase1_tableau(system: LinearSystem) -> np.ndarray:
     """The phase-1 tableau ``[A | I | b]`` over the objective row, built
     straight from the sparse rows: rows with ``b < 0`` are negated so the
@@ -155,8 +166,10 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     """Return one non-negative solution of ``A x = b`` (phase-1 simplex).
 
     Raises :class:`Infeasible` if the phase-1 optimum is bounded away from
-    zero. The result is exact at the level of the verified residual check
-    (``<= 1e-6`` per row) before any rounding by callers.
+    zero, and :class:`PivotBudgetExhausted` if the pivots run out with the
+    objective still above that tolerance. The result is exact at the level
+    of the verified residual check (``<= 1e-6`` per row) before any
+    rounding by callers.
     """
     m, n = len(system.rows), system.n_vars
     if m == 0:
@@ -169,8 +182,8 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     stall = 0
     last_obj = T[m, -1]
     bland = False
-    # Worst-case pivot budget: generous, Bland guarantees we never cycle.
-    for _ in range(50 * (m + n) + 1000):
+    budget, exhausted = _pivot_budget(m, n), False
+    for _ in range(budget):
         costs = T[m, : n + m]
         if bland:
             negs = np.flatnonzero(costs < -_TOL)
@@ -221,8 +234,12 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
             else:
                 stall = 0
             last_obj = T[m, -1]
+    else:
+        exhausted = True
     obj = -T[m, -1]
     if obj > 1e-6 * max(1.0, scale.sum()):
+        if exhausted:
+            raise PivotBudgetExhausted(f"{budget} pivots spent, phase-1 objective {obj:g} > 0")
         raise Infeasible(f"phase-1 optimum {obj:g} > 0")
 
     x = np.zeros(n + m)

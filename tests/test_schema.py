@@ -71,13 +71,6 @@ class TestToySchema:
         with pytest.raises(ValueError):
             sch.join_root({"s", "t"})
 
-    def test_attr_lookup(self):
-        sch = toy_schema()
-        assert sch.attr("a").hi == 100
-        assert sch.attr_owner("c") == "t"
-        with pytest.raises(KeyError):
-            sch.attr("zzz")
-
 
 class TestDagSchema:
     def test_dag_dependency_graph_supported(self):

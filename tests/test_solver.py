@@ -3,13 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import hydra, preprocess, workload
+from repro.core import hydra, preprocess, solver, workload
 from repro.core.lp import formulate_view
 from repro.core.solver import (
     _STALL_LIMIT,
     _TOL,
     Infeasible,
     LinearSystem,
+    PivotBudgetExhausted,
     Terms,
     phase1_tableau,
     round_solution,
@@ -112,6 +113,35 @@ class TestSolveFeasible:
         s = LinearSystem(2)
         with pytest.raises(IndexError):
             s.add_sum([0, 5], 1)
+
+
+class TestPivotBudget:
+    """Running out of pivots is reported as such, never as infeasibility;
+    a point reached with the last pivot of the budget is still returned."""
+
+    def test_budget_boundary(self, monkeypatch):
+        s = _small_int_system(np.random.default_rng(5), 30, 12, density=0.3, zero_frac=0.5)
+        x = solve_feasible(s)
+        budget = 0
+        while True:
+            monkeypatch.setattr(solver, "_pivot_budget", lambda m, n: budget)
+            try:
+                y = solve_feasible(s)
+                break
+            except PivotBudgetExhausted as exc:
+                assert not isinstance(exc, Infeasible)
+                assert f"{budget} pivots spent" in str(exc)
+                budget += 1
+        assert budget > 1
+        assert np.array_equal(y.view(np.int64), x.view(np.int64))
+
+    def test_infeasible_system_out_of_pivots(self, monkeypatch):
+        s = LinearSystem(1)
+        s.add_sum([0], 5)
+        s.add_sum([0], 7)
+        monkeypatch.setattr(solver, "_pivot_budget", lambda m, n: 0)
+        with pytest.raises(PivotBudgetExhausted):
+            solve_feasible(s)
 
 
 class TestLinearSystem:

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import hydra, workload
+from repro.core import datasynth, hydra, workload
 from repro.core.summary import view_summaries_from_formulations
 
 from .test_substrates import _JOB, GOLDEN
+from .toy import toy_client_data, toy_queries, toy_schema
 
 HYDRABENCH = Path(__file__).resolve().parents[1] / "hydrabench"
 
@@ -69,3 +70,20 @@ def test_traced_align_counters(name):
     assert sum(layers._rip_breaks(f.subview_solutions()) for f in forms.values()) == rip_breaks
     views = spans._keep_view_rows(None, None, view_summaries_from_formulations(forms))
     assert layers._view_rows_exact(views, forms) == exact
+
+
+def test_datasynth_grid_lp_span_times_its_lp_alone():
+    """Each ``regenerate_datasynth`` call opens one ``datasynth.grid_lp``
+    span, around ``repro.core.datasynth.regenerate``, and runs no HYDRA
+    stage: ``datasynth.lp_s`` times the grid LP alone."""
+    schema = toy_schema()
+    ccs = workload.client_ccs(schema, toy_client_data(), toy_queries())
+    tracer = spans.Tracer("test")
+    with tracer.patched():
+        for seed in range(2):
+            datasynth.regenerate_datasynth(schema, ccs, seed=seed)
+    names = [s.name for s in tracer.spans]
+    calls = {s.id for s in tracer.spans if s.name == "datasynth.regenerate_datasynth"}
+    assert len(calls) == 2
+    assert sorted(s.parent for s in tracer.spans if s.name == "datasynth.grid_lp") == sorted(calls)
+    assert not [n for n in names if n.startswith(("hydra.", "summary.", "align."))]
