@@ -8,7 +8,9 @@ restrictions; each per-attribute restriction is an integer interval
 
 Predicates are evaluated in three forms used across the pipeline:
 
-- on a point (dict of attr → value) — tuple-level checks in tests,
+- on a point (dict of attr → value) — tuple-level checks in tests, and
+  column-wise on many points at once (:func:`match_matrix`) — the CC
+  signatures of referential repair,
 - on a *box* (dict of attr → Interval) — valid on boxes that never
   straddle a constraint boundary, such as grid cells,
 - on pandas columns — vectorized AQP cardinality checks and metrics.
@@ -16,7 +18,8 @@ Predicates are evaluated in three forms used across the pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -118,11 +121,11 @@ class Predicate:
     def of(**bounds: tuple[int, int]) -> "Predicate":
         return Predicate((Conjunct.of(**bounds),))
 
-    @property
+    @cached_property
     def is_true(self) -> bool:
         return not self.conjuncts or any(not c.restrictions for c in self.conjuncts)
 
-    @property
+    @cached_property
     def attrs(self) -> frozenset[str]:
         return frozenset().union(*(c.attrs for c in self.conjuncts)) if self.conjuncts else frozenset()
 
@@ -172,6 +175,34 @@ class Predicate:
         if not out:
             raise ValueError(f"contradiction: ({self.to_sql()}) AND ({other.to_sql()})")
         return Predicate(tuple(out))
+
+
+def match_matrix(
+    predicates: Sequence[Predicate], attrs: Sequence[str], points: np.ndarray
+) -> np.ndarray:
+    """``out[i, k] == predicates[k].matches_point(dict(zip(attrs, points[i])))``
+    for an int64 array of points (one row per point, columns in ``attrs``
+    order), evaluated column-wise: every conjunct of every predicate in one
+    pass over the points, the conjuncts' hits OR-ed per predicate.
+    """
+    conjs = [(k, c) for k, p in enumerate(predicates) if not p.is_true for c in p.conjuncts]
+    col = {a: d for d, a in enumerate(attrs)}
+    # Per conjunct and attribute: restricted or not, and the tightest bounds.
+    restricted = np.zeros((len(conjs), len(attrs)), dtype=bool)
+    lo = np.full((len(conjs), len(attrs)), np.iinfo(np.int64).min)
+    hi = np.full((len(conjs), len(attrs)), np.iinfo(np.int64).max)
+    for r, (_, c) in enumerate(conjs):
+        for a, iv in c.restrictions:
+            d = col[a]
+            restricted[r, d] = True
+            lo[r, d], hi[r, d] = max(lo[r, d], iv.lo), min(hi[r, d], iv.hi)
+    pts = points[:, None, :]
+    hits = (((pts >= lo) & (pts < hi)) | ~restricted).all(axis=2)
+    out = np.ones((len(points), len(predicates)), dtype=bool)
+    if conjs:
+        owner, starts = np.unique([k for k, _ in conjs], return_index=True)
+        out[:, owner] = np.logical_or.reduceat(hits, starts, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

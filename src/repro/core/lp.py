@@ -116,12 +116,13 @@ def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, np.nda
     starts = np.flatnonzero(new_cell)
     members = np.split(order, starts[1:])
     firsts = order[starts]
-    cells: dict[tuple, np.ndarray] = {}
-    for g in np.argsort(firsts).tolist():
-        i = firsts[g]
-        cell = tuple((int(r.los[i, c]), int(r.his[i, c])) for c in cols)
-        cells[cell] = s.offset + members[g]
-    return cells
+    by_first = np.argsort(firsts)
+    los = r.los[firsts[by_first]][:, cols].tolist()
+    his = r.his[firsts[by_first]][:, cols].tolist()
+    return {
+        tuple(zip(lo, hi)): s.offset + members[g]
+        for g, lo, hi in zip(by_first.tolist(), los, his)
+    }
 
 
 def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
@@ -143,11 +144,12 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
     #    variables without improving fidelity.
     sv_cc_idx: list[list[int]] = []
     for sv in plan.subviews:
+        sv_attrs = set(sv)
         sv_cc_idx.append(
             [
                 i
                 for i, cc in enumerate(plan.ccs)
-                if cc.predicate.attrs <= set(sv) and not cc.predicate.is_true
+                if cc.predicate.attrs <= sv_attrs and not cc.predicate.is_true
             ]
         )
     encoded = set().union(*sv_cc_idx)
@@ -194,9 +196,14 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
     system = LinearSystem(n_vars=off)
     for s in sub_forms:
         system.add_sum(np.arange(s.offset, s.offset + s.n_vars), plan.total)
+        # CC × label membership, built once: row k marks the labels holding
+        # s.ccs[k] (every label lists CCs of s.ccs only).
         labels = s.regions.labels
-        for cc_idx in s.ccs:
-            has_cc = np.fromiter((cc_idx in lb for lb in labels), dtype=bool, count=len(labels))
+        row_of = {cc_idx: k for k, cc_idx in enumerate(s.ccs)}
+        member = np.zeros((len(s.ccs), len(labels)), dtype=bool)
+        for li, lb in enumerate(labels):
+            member[[row_of[c] for c in lb], li] = True
+        for has_cc, cc_idx in zip(member, s.ccs):
             idxs = s.offset + np.flatnonzero(has_cc[s.regions.label_ids])
             system.add_sum(idxs, plan.ccs[cc_idx].count)
 

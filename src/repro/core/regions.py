@@ -182,6 +182,15 @@ def partition_lp_regions(
         [j for j, cc in enumerate(ccs) for c in cc.predicate.conjuncts if c.restrictions],
         dtype=np.int64,
     )
+    # Per attribute: the sub-constraints restricting it, with their bounds.
+    restricting: dict[str, tuple[list[int], list[int], list[int]]] = {}
+    for si, c in enumerate(subs):
+        for a in c.attrs:
+            r = c.restriction(a)
+            idx, rlo, rhi = restricting.setdefault(a, ([], [], []))
+            idx.append(si)
+            rlo.append(r.lo)
+            rhi.append(r.hi)
     alive = _pack(np.ones((1, len(subs)), dtype=bool))  # distinct alive sets
     state_alive = np.zeros(1, dtype=np.int64)  # states in first-point order
     state_cell = np.zeros(1, dtype=np.int64)
@@ -189,8 +198,8 @@ def partition_lp_regions(
     levels = []  # per attribute: each state's parent and interval, the intervals
     for a in attrs:
         dom = domain[a]
-        proj = [(si, r) for si, c in enumerate(subs) if (r := c.restriction(a)) is not None]
-        points = set(cut_points(a, dom, ccs))
+        idx, rlo, rhi = (np.array(v, dtype=np.int64) for v in restricting.get(a, ([], [], [])))
+        points = {p for p in rlo.tolist() + rhi.tolist() if dom.lo < p < dom.hi}  # = cut_points
         if a in shared:
             bounds = {p for p in boundaries[a] if dom.lo < p < dom.hi}
             if not points <= bounds:
@@ -203,8 +212,7 @@ def partition_lp_regions(
         lo, hi = cuts[:-1], cuts[1:]
         n_iv = len(lo)
         kill = np.zeros((n_iv, len(subs)), dtype=bool)
-        for si, r in proj:
-            kill[:, si] = (lo < r.lo) | (hi > r.hi)
+        kill[:, idx] = (lo[:, None] < rlo) | (hi[:, None] > rhi)
         # Successor of every (alive set, interval) pair.
         successors = alive[:, None, :] & ~_pack(kill)[None, :, :]
         alive, succ = _distinct_rows(successors.reshape(-1, alive.shape[1]))
@@ -237,7 +245,9 @@ def partition_lp_regions(
     renumber = np.empty(len(label_bits), dtype=np.int64)
     renumber[order] = np.arange(len(order))
     bits = np.unpackbits(label_bits[order], axis=1, count=len(ccs))
-    labels = [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+    members = np.nonzero(bits)[1].tolist()
+    ends = np.cumsum(bits.sum(axis=1)).tolist()
+    labels = [frozenset(members[b:e]) for b, e in zip([0] + ends[:-1], ends)]
 
     los = np.empty((len(first), len(attrs)), dtype=np.int64)
     his = np.empty_like(los)

@@ -17,7 +17,7 @@ workload (TPC-DS-lite WLc, 80 queries) 29 variables come out fractional,
 and the rounded point misses its rows by up to 1. That residual is
 *measured* by the metrics module, mirroring the paper's own error
 reporting, never silently ignored; making integrality part of the
-solver's contract is ROADMAP item 2.
+solver's contract is ROADMAP item 1.
 
 :class:`LinearSystem` keeps each row sparse, as an index array and a
 coefficient array. A solve builds the dense phase-1 tableau straight from
@@ -40,6 +40,12 @@ Each row is updated from the same pivot row, so their order does not
 matter, and every basic solution (every LP vertex) is the one the textbook
 loop reaches. Most pivots of the region LPs are 1.0 and most multipliers
 ±1, since their rows are sums of variables.
+
+The choice of pivot is kept in arrays, again with the textbook's
+outcome: the ratio test divides only the column's positive entries (the
+others never win it), and the leaving row is the tied candidate whose
+basic variable has the smallest index, an ``argmin`` over the int64
+basis, whose entries are distinct.
 """
 from __future__ import annotations
 
@@ -176,53 +182,52 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         return np.zeros(n)
     T = phase1_tableau(system)
     scale = np.abs(system._rhs())
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     tmp = np.empty(n + m + 1)  # one multiple of the pivot row, reused
+    # Views into T, taken once: they follow its in-place updates.
+    costs, rhs, rows = T[m, : n + m], T[:m, -1], list(T)
 
     stall = 0
     last_obj = T[m, -1]
     bland = False
     budget, exhausted = _pivot_budget(m, n), False
     for _ in range(budget):
-        costs = T[m, : n + m]
         if bland:
-            negs = np.flatnonzero(costs < -_TOL)
+            negs = (costs < -_TOL).nonzero()[0]
             if negs.size == 0:
                 break
             j = int(negs[0])
         else:
-            j = int(np.argmin(costs))
+            j = int(costs.argmin())
             if costs[j] >= -_TOL:
                 break
         col = T[:m, j]
-        pos = col > _TOL
-        if not pos.any():
+        pos = (col > _TOL).nonzero()[0]
+        if pos.size == 0:
             # Unbounded phase-1 is impossible; numerical guard.
             raise Infeasible("phase-1 column with no positive entries")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        cand = np.flatnonzero(ratios <= rmin + _TOL)
+        ratios = rhs[pos] / col[pos]
+        cand = pos[ratios <= ratios.min() + _TOL]
         # Bland tie-break on leaving variable index for anti-cycling.
-        r = int(min(cand, key=lambda i: basis[i]))
-        prow = T[r]
+        r = int(cand[basis[cand].argmin()])
+        prow = rows[r]
         if prow[j] != 1.0:
             prow /= prow[j]
         # Rows to eliminate, grouped by multiplier.
         groups: dict[float, list[int]] = {}
-        nz = np.flatnonzero(np.abs(T[:, j]) > 1e-12)
+        nz = (np.abs(T[:, j]) > 1e-12).nonzero()[0]
         for i, mu in zip(nz.tolist(), T[nz, j].tolist()):
             if i != r:
                 groups.setdefault(mu, []).append(i)
-        for mu, rows in groups.items():
+        for mu, group in groups.items():
             if mu == 1.0:
                 op, y = np.subtract, prow
             elif mu == -1.0:
                 op, y = np.add, prow
             else:
                 op, y = np.subtract, np.multiply(mu, prow, out=tmp)
-            for i in rows:
-                op(T[i], y, out=T[i])
+            for i in group:
+                op(rows[i], y, out=rows[i])
         basis[r] = j
         if not bland:
             # Progress in phase-1 raises T[m, -1] (= -objective) toward 0;
@@ -243,8 +248,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
         raise Infeasible(f"phase-1 optimum {obj:g} > 0")
 
     x = np.zeros(n + m)
-    for r, j in enumerate(basis):
-        x[j] = T[r, -1]
+    x[basis] = rhs
     x = np.clip(x[:n], 0.0, None)
     res = system.residuals(x)
     if np.abs(res).max() > 1e-6 * max(1.0, scale.max()):

@@ -28,10 +28,13 @@ the tuple generator regenerates relations of arbitrary size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
+import numpy as np
 import pandas as pd
 
-from .align import ViewSolution, build_view_solution
+from .align import Point, ViewSolution, build_view_solution
+from .constraints import match_matrix
 from .lp import ViewFormulation
 from .schema import Schema
 
@@ -81,12 +84,12 @@ def view_summaries_from_formulations(
     return out
 
 
-def _signature(
-    ccs: list, attrs: tuple[str, ...], vals: tuple[int, ...]
-) -> tuple[bool, ...]:
-    """CC-satisfaction signature of a value combination w.r.t. a view's CCs."""
-    point = dict(zip(attrs, vals))
-    return tuple(cc.predicate.matches_point(point) for cc in ccs)
+def _signatures(ccs: list, attrs: tuple[str, ...], points: list[Point]) -> list[bytes]:
+    """CC-satisfaction signature of each point w.r.t. a view's CCs: the
+    row of :func:`~repro.core.constraints.match_matrix`, packed to bytes."""
+    pts = np.array(points, dtype=np.int64).reshape(len(points), len(attrs))
+    sat = match_matrix([cc.predicate for cc in ccs], attrs, pts)
+    return [row.tobytes() for row in np.packbits(sat, axis=1)]
 
 
 def make_consistent(
@@ -115,14 +118,15 @@ def make_consistent(
         vi = summaries[rel]
         for target in sorted(schema.dependencies(rel)):
             vj, ccs = summaries[target], view_ccs[target]
-            missing = set(vi.project(vj.attrs)) - keysets[target]
+            missing = sorted(set(vi.project(vj.attrs)) - keysets[target])
+            spare = [i for i, (_, c) in enumerate(vj.rows) if c >= 2]
+            sigs = _signatures(ccs, vj.attrs, [vj.rows[i][0] for i in spare] + missing)
             # Donor index: signature → row positions with spare tuples.
-            donors: dict[tuple[bool, ...], list[int]] = {}
-            for i, (vals, c) in enumerate(vj.rows):
-                if c >= 2:
-                    donors.setdefault(_signature(ccs, vj.attrs, vals), []).append(i)
-            for combo in sorted(missing):
-                for di in donors.get(_signature(ccs, vj.attrs, combo), []):
+            donors: dict[bytes, list[int]] = {}
+            for i, sig in zip(spare, sigs):
+                donors.setdefault(sig, []).append(i)
+            for combo, sig in zip(missing, sigs[len(spare):]):
+                for di in donors.get(sig, []):
                     vals, c = vj.rows[di]
                     if c >= 2:
                         vj.rows[di] = (vals, c - 1)
@@ -146,13 +150,10 @@ def extract_relation_summaries(
     (coalesced, sorted) solution, so every FK hits a valid PK in [1, N].
     """
     # Per view: value-combo → 1-based start position of its PK range.
-    starts: dict[str, dict[tuple[int, ...], int]] = {}
-    for view, s in summaries.items():
-        pos, acc = {}, 1
-        for vals, c in s.rows:
-            pos[vals] = acc
-            acc += c
-        starts[view] = pos
+    starts: dict[str, dict[Point, int]] = {
+        view: dict(zip((v for v, _ in s.rows), accumulate((c for _, c in s.rows), initial=1)))
+        for view, s in summaries.items()
+    }
 
     out: dict[str, RelationSummary] = {}
     for rel_name in schema.topo_order():
@@ -160,24 +161,24 @@ def extract_relation_summaries(
         vi = summaries[rel_name]
         own = [a.name for a in rel.attrs]
         fk_cols = sorted(rel.fks)
-        fk_vals = [
-            [starts[rel.fks[fk]][combo] for combo in vi.project(summaries[rel.fks[fk]].attrs)]
-            for fk in fk_cols
-        ]
+        n = len(vi.rows)
+        keys = np.empty((n, len(own) + len(fk_cols)), dtype=np.int64)
+        keys[:, : len(own)] = np.array(vi.project(own), dtype=np.int64).reshape(n, len(own))
+        for k, fk in enumerate(fk_cols, start=len(own)):
+            ref = rel.fks[fk]
+            keys[:, k] = [starts[ref][combo] for combo in vi.project(summaries[ref].attrs)]
         # Merge *adjacent* identical projections only: the row order defines
         # the relation's PK ranges, and FK values elsewhere are positions
         # into exactly this order — a global groupby would break them.
-        merged: list[list] = []
-        for k, (vals, (_, c)) in enumerate(zip(vi.project(own), vi.rows)):
-            key = vals + tuple(col[k] for col in fk_vals)
-            if merged and merged[-1][0] == key:
-                merged[-1][1] += c
-            else:
-                merged.append([key, c])
+        first = np.ones(n, dtype=bool)
+        first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        counts = np.array([c for _, c in vi.rows], dtype=np.int64)
+        if n:
+            counts = np.add.reduceat(counts, np.flatnonzero(first))
         frame = pd.DataFrame(
-            [key + (c,) for key, c in merged], columns=own + fk_cols + ["numtuples"]
+            np.column_stack([keys[first], counts]), columns=own + fk_cols + ["numtuples"]
         )
-        out[rel_name] = RelationSummary(name=rel_name, frame=frame.astype("int64"))
+        out[rel_name] = RelationSummary(name=rel_name, frame=frame)
     return out
 
 

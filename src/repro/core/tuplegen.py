@@ -10,7 +10,8 @@ Here the same contract is a ``DataFrame`` built entirely inside the JVM.
 Summary row *j* covers the PK range ``(bound[j-1], bound[j]]`` of the
 cumulative counts, so the driver turns the (minuscule, data-scale free)
 summary into a literal table of PK ranges with their values, cut at the
-partition bounds of ``spark.range(1, N + 1, 1, P)``. Each of ``P`` tasks
+partition bounds of ``spark.range(1, N + 1, 1, P)``: unnamed ``struct``
+literals, whose columns are named once, after ``inline``. Each of ``P`` tasks
 takes its slice of that table and expands every range with
 ``explode(sequence(lo, hi))``: no Python worker runs, the rows land in the
 partitions ``spark.range`` would give them, and downstream joins and
@@ -98,23 +99,25 @@ def generate_relation(
     pk, *values = [f.name for f in relation_schema(schema, rel_name).fields]
     p = spark.sparkContext.defaultParallelism if num_partitions is None else num_partitions
     vals = summary.frame[values].to_numpy(np.int64).tolist()
-    names = ["_lo", "_hi", *values]
 
     def struct(row) -> str:
-        return "named_struct(" + ", ".join(f"'{c}', {v}L" for c, v in zip(names, row)) + ")"
+        return "struct(" + ", ".join(f"{v}L" for v in row) + ")"
 
     # element type of the empty slices, which `array()` alone would not carry
-    empty = f"slice(array({struct([0] * len(names))}), 1, 0)"
+    empty = f"slice(array({struct([0] * (2 + len(values)))}), 1, 0)"
     parts = [
         f"array({', '.join(struct((lo, hi, *vals[j])) for lo, hi, j in part)})" if part else empty
         for part in _pk_ranges(summary.frame["numtuples"].to_numpy(), p)
     ]
-    cols = [f"`{c}`" for c in values]
+    # `inline` names an unnamed struct's fields col1, col2, …: lo, hi, then
+    # the values, which are named once, in the last projection.
+    cols = [f"col{k}" for k in range(3, 3 + len(values))]
     return (
         spark.range(0, p, 1, p)
         .selectExpr(f"inline(element_at(array({', '.join(parts)}), CAST(id + 1 AS INT)))")
-        .selectExpr("_hi", *cols, f"explode(sequence(_lo, _hi, {_CHUNK}L)) AS _c")
-        .selectExpr(f"explode(sequence(_c, least(_c + {_CHUNK - 1}L, _hi))) AS `{pk}`", *cols)
+        .selectExpr("col2", *cols, f"explode(sequence(col1, col2, {_CHUNK}L)) AS _c")
+        .selectExpr(f"explode(sequence(_c, least(_c + {_CHUNK - 1}L, col2))) AS `{pk}`",
+                    *(f"{k} AS `{c}`" for k, c in zip(cols, values)))
     )
 
 

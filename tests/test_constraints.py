@@ -2,13 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import (
     CC,
     Conjunct,
     Interval,
     Predicate,
+    match_matrix,
     sub_constraints,
     total_cc,
 )
@@ -163,3 +164,49 @@ class TestCC:
         ]
         subs = sub_constraints(ccs)
         assert len(subs) == 2  # TRUE CC contributes none
+
+
+ATTRS = ("a", "b", "c")
+_intervals = st.builds(
+    lambda lo, width: Interval(lo, lo + width), st.integers(-3, 15), st.integers(0, 6))
+#: conjuncts drawn as (attr, interval) lists: an attribute may repeat, and
+#: an empty list makes the predicate TRUE
+_conjuncts = st.lists(st.tuples(st.sampled_from(ATTRS), _intervals), max_size=4).map(
+    lambda pairs: Conjunct(tuple(sorted(pairs))))
+_predicates = st.one_of(
+    st.just(Predicate.true()),
+    st.lists(_conjuncts, min_size=1, max_size=4).map(lambda cs: Predicate(tuple(cs))),
+)
+
+
+class TestMatchMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_matches_point_point_by_point(self, data):
+        """Column-wise evaluation gives ``matches_point``'s boolean for
+        every (point, predicate), with points on ``lo``, ``hi - 1`` and
+        ``hi`` of the drawn restrictions."""
+        preds = data.draw(st.lists(_predicates, max_size=6))
+        edges = {v for p in preds for c in p.conjuncts for _, iv in c.restrictions
+                 for v in (iv.lo, iv.hi - 1, iv.hi)}
+        values = st.sampled_from(sorted(edges | {-5, 0, 20}))
+        pts = data.draw(st.lists(st.tuples(values, values, values), max_size=12))
+        got = match_matrix(preds, ATTRS, np.array(pts, dtype=np.int64).reshape(len(pts), 3))
+        assert got.dtype == bool and got.shape == (len(pts), len(preds))
+        assert got.tolist() == [
+            [p.matches_point(dict(zip(ATTRS, pt))) for p in preds] for pt in pts]
+
+    def test_true_and_multi_conjunct_predicates(self):
+        preds = [
+            Predicate.true(),
+            Predicate((Conjunct.of(a=(0, 5)), Conjunct.of(b=(10, 20)))),
+            Predicate((Conjunct.of(a=(0, 5)), Conjunct(()))),  # TRUE: an empty conjunct
+            Predicate.of(a=(4, 6), b=(0, 11)),
+        ]
+        pts = np.array([[4, 10], [5, 10], [6, 0], [7, 20]], dtype=np.int64)
+        assert match_matrix(preds, ("a", "b"), pts).tolist() == [
+            [True, True, True, True],
+            [True, True, True, True],
+            [True, False, True, False],
+            [True, False, True, False],
+        ]

@@ -239,9 +239,11 @@ def _reference_solve(system: LinearSystem, seen: dict | None = None) -> np.ndarr
     nonzero in the pivot column subtract ``T[i, j] * T[r]``. ``seen``, when
     given, counts what the drawn systems exercise: pivots other than 1.0,
     multipliers ±1, non-unit multipliers shared by several rows of one
-    pivot, and whether the Bland switch was reached."""
+    pivot, pivots whose minimum ratio several rows share (the leaving
+    variable is then the tie-break's), and whether the Bland switch was
+    reached."""
     seen = {} if seen is None else seen
-    for key in ("non_unit_pivots", "unit_mus", "shared_non_unit_mus", "bland"):
+    for key in ("non_unit_pivots", "unit_mus", "shared_non_unit_mus", "tied_ratios", "bland"):
         seen.setdefault(key, 0)
     m, n = len(system.rows), system.n_vars
     if m == 0:
@@ -273,6 +275,7 @@ def _reference_solve(system: LinearSystem, seen: dict | None = None) -> np.ndarr
         ratios[pos] = T[:m, -1][pos] / col[pos]
         rmin = ratios.min()
         cand = np.flatnonzero(ratios <= rmin + _TOL)
+        seen["tied_ratios"] += len(cand) > 1
         r = int(min(cand, key=lambda i: basis[i]))
         piv = T[r, j]
         seen["non_unit_pivots"] += piv != 1.0
@@ -369,6 +372,7 @@ class TestBitwiseAgainstReference:
         assert seen["non_unit_pivots"] > 0
         assert seen["unit_mus"] > 0
         assert seen["shared_non_unit_mus"] > 0
+        assert seen["tied_ratios"] > 0
         assert seen["bland"] > 0
 
     @settings(max_examples=60, deadline=None)

@@ -4,16 +4,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import hydra, workload
 from repro.core.constraints import CC, Interval, Predicate, total_cc
 from repro.core.hydra import regenerate
 from repro.core.lp import formulate_view, solve_view
 from repro.core.metrics import achieved_counts_pandas, max_abs_error
-from repro.core.preprocess import ViewPlan, rewrite_ccs
+from repro.core.preprocess import ViewPlan, plan_views, rewrite_ccs
 from repro.core.align import ViewSolution
 from repro.core.summary import make_consistent, view_summaries_from_formulations
 from repro.core.tuplegen import database_to_pandas, decode_rows, relation_to_pandas
 from repro.core.workload import base_size_ccs, derive_ccs_pandas
 
+from .test_substrates import GOLDEN, TREE_PLANS
 from .toy import toy_client_data, toy_queries, toy_schema
 
 
@@ -145,6 +147,69 @@ class TestMakeConsistent:
         extras = make_consistent(sch, summaries, self.S_CCS)
         assert extras["s"] == 1
         assert sorted(summaries["s"].rows) == sorted(rows + [((7, 1), 1)])
+
+
+def _reference_make_consistent(schema, summaries, view_ccs) -> dict[str, int]:
+    """Referential repair as it was before the CC signatures were computed
+    column-wise: one ``Predicate.matches_point`` call per CC and point, a
+    signature per donor row while indexing them and per missing combination
+    while repairing."""
+
+    def signature(ccs, attrs, vals):
+        point = dict(zip(attrs, vals))
+        return tuple(cc.predicate.matches_point(point) for cc in ccs)
+
+    extras = {r: 0 for r in schema.relations}
+    keysets = {v: {vals for vals, _ in s.rows} for v, s in summaries.items()}
+    for rel in schema.reverse_topo_order():
+        vi = summaries[rel]
+        for target in sorted(schema.dependencies(rel)):
+            vj, ccs = summaries[target], view_ccs[target]
+            missing = set(vi.project(vj.attrs)) - keysets[target]
+            donors = {}
+            for i, (vals, c) in enumerate(vj.rows):
+                if c >= 2:
+                    donors.setdefault(signature(ccs, vj.attrs, vals), []).append(i)
+            for combo in sorted(missing):
+                for di in donors.get(signature(ccs, vj.attrs, combo), []):
+                    vals, c = vj.rows[di]
+                    if c >= 2:
+                        vj.rows[di] = (vals, c - 1)
+                        break
+                else:
+                    extras[target] += 1
+                vj.rows.append((combo, 1))
+                keysets[target].add(combo)
+        vi.coalesce()
+    for s in summaries.values():
+        s.coalesce()
+    return extras
+
+
+#: name: ((schema, client DB, queries) makers, CC scale)
+REPAIR_CASES = {
+    "wlc-101": GOLDEN["wlc-101"][:2],
+    "wls-202": (TREE_PLANS["wls-202"], 1),
+    "job-lite-303-x10": GOLDEN["job-lite-303-x10"][:2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPAIR_CASES))
+def test_make_consistent_equals_per_point_reference(name):
+    """Column-wise signatures repair exactly as the per-point loop: the same
+    extra tuples, and every view's rows equal, in order."""
+    (make_schema, make_db, make_queries), scale = REPAIR_CASES[name]
+    schema, db = make_schema(), make_db()
+    ccs = hydra.scale_ccs(workload.client_ccs(schema, db, make_queries()), scale)
+    forms = {view: solve_view(formulate_view(plan))
+             for view, plan in plan_views(schema, ccs).items()}
+    view_ccs = {view: list(form.plan.ccs) for view, form in forms.items()}
+    got = view_summaries_from_formulations(forms)
+    want = view_summaries_from_formulations(forms)
+    extras = make_consistent(schema, got, view_ccs)
+    assert extras == _reference_make_consistent(schema, want, view_ccs)
+    assert sum(extras.values()) > 0
+    assert {v: s.rows for v, s in got.items()} == {v: s.rows for v, s in want.items()}
 
 
 class TestToyEndToEnd:

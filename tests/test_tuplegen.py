@@ -2,6 +2,7 @@
 and static materialization to parquet."""
 import contextlib
 
+import numpy as np
 import pandas as pd
 import pytest
 import pyspark.sql.functions as F
@@ -10,6 +11,7 @@ from repro.core import tuplegen
 from repro.core.hydra import regenerate
 from repro.core.materialize import materialize_relation, scan_parquet
 from repro.core.preprocess import rewrite_ccs
+from repro.core.schema import Attribute, Relation, Schema
 from repro.core.summary import DatabaseSummary, RelationSummary
 from repro.core.tuplegen import (
     generate_relation,
@@ -201,6 +203,20 @@ class TestRangeTable:
             expect = [(a, b) for a, b, n in rows for _ in range(n)]
             assert list(zip(got["a"], got["b"])) == expect
             pd.testing.assert_frame_equal(got, relation_to_pandas(sch, db, "s"))
+
+    def test_wide_summary_of_2000_rows(self, spark):
+        """A 2,000-row summary of eleven value columns (negative values and
+        NumTuples 0 among them) generates the driver-side decode, row for
+        row by PK."""
+        attrs = tuple(Attribute(f"x{i}", -1000, 10**6) for i in range(11))
+        sch = Schema([Relation("w", pk="w_pk", attrs=attrs)])
+        g = np.random.default_rng(16)
+        frame = pd.DataFrame(g.integers(-1000, 10**6, (2000, 11)), columns=[a.name for a in attrs])
+        frame["numtuples"] = g.integers(0, 4, 2000)
+        db = DatabaseSummary(relations={"w": RelationSummary("w", frame)})
+        df = generate_relation(spark, sch, db, "w")
+        assert df.schema == relation_schema(sch, "w")
+        pd.testing.assert_frame_equal(sorted_rows(df, "w_pk"), relation_to_pandas(sch, db, "w"))
 
     @pytest.mark.parametrize("num_partitions", [None, 3])
     def test_same_partitions_as_spark_range(self, spark, hydra_result, num_partitions):
