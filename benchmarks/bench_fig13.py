@@ -9,9 +9,13 @@ label-only region count (the sub-views partitioned on their CC labels
 alone, the count the benchmark's ``regions.label_regions`` counter reports
 in ``hydrabench/layers.py``; repeated here so this script needs only
 ``repro``), its LP variables, rows and nonzeros, and the analytic size of
-DataSynth's grid (``∏ ℓᵢ`` summed over its sub-views, Fig 12). WLc-100
-(``make_wlc()``'s default: 100 queries) is formulated only: its solve on
-the dense simplex tableau takes minutes (ROADMAP item 2).
+DataSynth's grid (``∏ ℓᵢ`` summed over its sub-views, Fig 12), and
+``exact_path``: whether the solver's exact revised phase 1 finished the
+view's LP ("finished"), handed it over to the dense tableau ("handed
+over"), or was not tried (the LP is below
+:data:`repro.core.solver.REVISED_MIN_CELLS`). WLc-100 (``make_wlc()``'s
+default: 100 queries) is formulated only: its store_sales LP hands over to
+the dense tableau, whose solve takes minutes (ROADMAP item 2).
 
 The paper reports HYDRA's LP processing on WLc at 58 s (TPC-DS 100 GB, 131
 queries, Z3); DataSynth's grid LP crashed the solver. The numbers here come
@@ -29,7 +33,7 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core import hydra, preprocess, workload
+from repro.core import hydra, preprocess, solver, workload
 from repro.core.lp import formulate_view
 from repro.core.regions import partition_lp_regions
 from repro.tpcds import generator as tpcds_generator
@@ -45,7 +49,7 @@ PAPER = {
     "datasynth": "solver crash",
     "setting": "TPC-DS 100 GB, 131-query WLc, Z3 (paper Fig 13)",
 }
-WLC100_SOLVE = "not run: dense tableau, ROADMAP item 2"
+WLC100_SOLVE = "not run: store_sales needs the dense tableau, ROADMAP item 2"
 
 
 def label_regions(form) -> int:
@@ -57,6 +61,15 @@ def label_regions(form) -> int:
     return n
 
 
+def exact_path(system) -> str:
+    """How the solver's exact revised phase 1 fares on ``system``."""
+    m, n = len(system.rows), system.n_vars
+    if (m + 1) * (n + m + 1) < solver.REVISED_MIN_CELLS:
+        return "not tried"
+    end = solver._exact_phase1(system._coo(), system._rhs(), m, n)
+    return "handed over" if end is None else "finished"
+
+
 def lp_size(form) -> dict:
     return {
         "label_regions": label_regions(form),
@@ -64,6 +77,7 @@ def lp_size(form) -> dict:
         "lp_rows": len(form.system.rows),
         "lp_nnz": sum(len(t) for t, _ in form.system.rows),
         "grid_vars_analytic": form.grid_vars_analytic,
+        "exact_path": exact_path(form.system),
     }
 
 

@@ -98,25 +98,40 @@ class ViewFormulation:
         return sols
 
 
-def _cells(s: SubViewFormulation, common: tuple[str, ...]) -> dict[tuple, np.ndarray]:
+def _cells(
+    s: SubViewFormulation, cell_ids: dict[str, np.ndarray], common: tuple[str, ...],
+    boundaries: dict[str, list[int]],
+) -> dict[tuple, np.ndarray]:
     """Variables of ``s`` by their region's interval on each attribute of
     ``common`` — one shared-attribute boundary cell per region.
 
-    Keys are ``((lo, hi), …)`` tuples of Python ints, inserted in the order
-    the cells first appear among the regions, and each cell's variables are
-    ascending: the consistency rows' order and terms follow from both.
+    ``cell_ids[a]`` is each region's cell index on ``a`` among
+    ``boundaries[a]``; a region's cells on ``common`` form one mixed-radix
+    key. Keys are ``((lo, hi), …)`` tuples of Python ints, inserted in the
+    order the cells first appear among the regions, and each cell's
+    variables are ascending: the consistency rows' order and terms follow
+    from both.
     """
-    r = s.regions
-    cols = [r.attrs.index(a) for a in common]
-    key = np.concatenate([r.los[:, cols], r.his[:, cols]], axis=1)
-    order = np.lexsort(key.T[::-1])  # stable: members stay ascending
+    key = np.zeros(len(s.regions), dtype=np.int64)
+    radix = 1
+    for a in common:
+        cells = len(boundaries[a]) + 1
+        if radix * cells >= 2**62:  # renumber the keys so far densely
+            key = np.unique(key, return_inverse=True)[1]
+            radix = len(key)
+        key = key * cells + cell_ids[a]
+        radix *= cells
+    # Stable, so members stay ascending; numpy radix-sorts 16-bit keys.
+    order = np.argsort(key.astype(np.uint16) if radix <= 1 << 16 else key, kind="stable")
     ks = key[order]
     new_cell = np.ones(len(order), dtype=bool)
-    new_cell[1:] = (ks[1:] != ks[:-1]).any(axis=1)
+    new_cell[1:] = ks[1:] != ks[:-1]
     starts = np.flatnonzero(new_cell)
     members = np.split(order, starts[1:])
     firsts = order[starts]
     by_first = np.argsort(firsts)
+    r = s.regions
+    cols = [r.attrs.index(a) for a in common]
     los = r.los[firsts[by_first]][:, cols].tolist()
     his = r.his[firsts[by_first]][:, cols].tolist()
     return {
@@ -207,13 +222,19 @@ def formulate_view(plan: ViewPlan, *, mode: str = "region") -> ViewFormulation:
             idxs = s.offset + np.flatnonzero(has_cc[s.regions.label_ids])
             system.add_sum(idxs, plan.ccs[cc_idx].count)
 
-    # Pairwise marginal equality on shared attributes.
-    for s1, s2 in itertools.combinations(sub_forms, 2):
+    # Pairwise marginal equality on shared attributes, keyed by each
+    # region's boundary cell, found once per sub-view and attribute.
+    cell_ids = [
+        {a: np.searchsorted(boundaries[a], s.regions.los[:, k], side="right")
+         for k, a in enumerate(s.attrs) if a in shared_attrs}
+        for s in sub_forms
+    ]
+    for (s1, c1), (s2, c2) in itertools.combinations(zip(sub_forms, cell_ids), 2):
         common = tuple(a for a in s1.attrs if a in s2.attrs)
         if not common:
             continue
-        cells1 = _cells(s1, common)
-        cells2 = _cells(s2, common)
+        cells1 = _cells(s1, c1, common, boundaries)
+        cells2 = _cells(s2, c2, common, boundaries)
         empty = np.zeros(0, dtype=np.int64)
         for cell in set(cells1) | set(cells2):
             left, right = cells1.get(cell, empty), cells2.get(cell, empty)

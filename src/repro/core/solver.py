@@ -3,7 +3,7 @@
 The paper hands its LPs (Figure 7: non-negative variables, equality
 constraints, all data integral) to the Z3 SMT solver and takes *any*
 feasible point. Z3 is not available offline, so this module implements the
-same contract with a dense two-phase (phase-1 only) simplex:
+same contract with a two-phase (phase-1 only) simplex:
 
     find x >= 0  s.t.  A x = b
 
@@ -20,7 +20,7 @@ reporting, never silently ignored; making integrality part of the
 solver's contract is ROADMAP item 1.
 
 :class:`LinearSystem` keeps each row sparse, as an index array and a
-coefficient array. A solve builds the dense phase-1 tableau straight from
+coefficient array. The dense path builds the phase-1 tableau straight from
 those rows (:func:`phase1_tableau`, no intermediate dense ``A``) and updates
 its rows in place; the residual check reads the sparse rows.
 
@@ -46,6 +46,41 @@ outcome: the ratio test divides only the column's positive entries (the
 others never win it), and the leaving row is the tied candidate whose
 basic variable has the smallest index, an ``argmin`` over the int64
 basis, whose entries are distinct.
+
+**Two paths, one pivot sequence.** A view LP has few rows and many region
+variables (wlc-lp's catalog_sales: 183 × 83,850, a 124 MB tableau). When
+the tableau would have at least :data:`REVISED_MIN_CELLS` cells and every
+coefficient and right-hand side is an integer, :func:`solve_feasible` first
+runs phase 1 in revised form (:func:`_exact_phase1`). It holds ``A`` as
+CSR and CSC arrays, an explicit m × m ``B⁻¹``, the basic values and one
+reduced-cost row over all ``n + m`` columns. The entering column is
+``B⁻¹ A_j``; the pivot row is ``ρᵀA``, with ``ρ`` row ``r`` of ``B⁻¹``,
+summed over the rows of ``A`` in ``ρ``'s support; an artificial column is
+a column of ``B⁻¹``. The rules are the dense loop's: the same argmin,
+ratio test, tie-break, Bland switch and budget.
+
+Why the bits are equal: ``A`` and ``b`` are integral and the basis starts
+at ``I``, so ``det B`` is the product of the pivots so far. While every
+pivot is a power of two, ``det B = 2**e`` and, by Cramer's rule, every
+tableau value is an integer multiple of ``2**-e``. Float64 holds every such
+multiple below ``2**(53 - e)`` exactly, and then the dense loop's division
+by a power of two, its products ``mu * T[r]`` and its differences are all
+exact: they equal the rational values, in any order. The revised path
+computes those same values, also exactly, so both paths see the same
+numbers, compare them with the same tolerances and take the same pivots.
+Before each pivot it checks that the dense loop would stay exact, using
+bounds for the values it does not hold: a row of ``B⁻¹A`` is at most the
+row's 1-norm in ``B⁻¹`` times ``max |A|``, and the objective row's A-part
+at most the duals' 1-norm times ``max |A|``. It hands over, with no state
+kept, to the dense loop from the artificial basis at the first pivot that
+is not a power of two, or once a value or product times ``2**e`` could
+reach ``2**53``. The bound on products covers the pivot ``2**k`` times
+the 1 it leaves in its row, ``2**(2e)`` after scaling, so ``e`` stays at
+most 26 and every nonzero above the dense loop's ``1e-12`` row threshold.
+The dense loop then takes the same pivots again and goes on past that
+one. A run that ends on the exact path (at a zero objective, an
+infeasible optimum or the end of the budget) ends in the dense loop's
+state, so both paths return the same ``x`` or raise the same error.
 """
 from __future__ import annotations
 
@@ -58,6 +93,11 @@ import numpy as np
 #: switching to Bland's rule.
 _STALL_LIMIT = 64
 _TOL = 1e-7
+#: Phase-1 tableaux of at least this many cells, ``(m+1)·(n+m+1)``, first
+#: run the exact revised path; read at call time.
+REVISED_MIN_CELLS = 1 << 22
+#: Float64 holds every integer multiple of ``2**-e`` below ``2**(53-e)``.
+_EXACT = 2.0**53
 
 
 class Terms:
@@ -124,9 +164,10 @@ class LinearSystem:
         np.add.at(A, (row, idx), coef)
         return A, self._rhs()
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """``A x - b``, computed from the sparse rows."""
-        row, idx, coef = self._coo()
+    def residuals(self, x: np.ndarray, *, coo=None) -> np.ndarray:
+        """``A x - b``, computed from the sparse rows (``coo`` is
+        :meth:`_coo`'s result, for a caller that has it already)."""
+        row, idx, coef = self._coo() if coo is None else coo
         return np.bincount(row, weights=coef * x[idx], minlength=len(self.rows)) - self._rhs()
 
 
@@ -145,16 +186,17 @@ def _pivot_budget(m: int, n: int) -> int:
     return 50 * (m + n) + 1000
 
 
-def phase1_tableau(system: LinearSystem) -> np.ndarray:
+def phase1_tableau(system: LinearSystem, *, coo=None) -> np.ndarray:
     """The phase-1 tableau ``[A | I | b]`` over the objective row, built
     straight from the sparse rows: rows with ``b < 0`` are negated so the
     artificial basis starts feasible, and the objective row holds the
     reduced costs of minimizing the sum of the artificials (minus each
     column's sum, and ``-sum(b)``). A repeated index within a row adds up.
+    ``coo`` is ``system._coo()``, for a caller that has it already.
     """
     m, n = len(system.rows), system.n_vars
     width = n + m + 1
-    row, idx, coef = system._coo()
+    row, idx, coef = system._coo() if coo is None else coo
     b = system._rhs()
     neg = b < 0
     coef = np.where(neg[row], -coef, coef)
@@ -168,20 +210,9 @@ def phase1_tableau(system: LinearSystem) -> np.ndarray:
     return T
 
 
-def solve_feasible(system: LinearSystem) -> np.ndarray:
-    """Return one non-negative solution of ``A x = b`` (phase-1 simplex).
-
-    Raises :class:`Infeasible` if the phase-1 optimum is bounded away from
-    zero, and :class:`PivotBudgetExhausted` if the pivots run out with the
-    objective still above that tolerance. The result is exact at the level
-    of the verified residual check (``<= 1e-6`` per row) before any
-    rounding by callers.
-    """
-    m, n = len(system.rows), system.n_vars
-    if m == 0:
-        return np.zeros(n)
-    T = phase1_tableau(system)
-    scale = np.abs(system._rhs())
+def _dense_phase1(T: np.ndarray, m: int, n: int):
+    """Phase 1 on the dense tableau ``T``, updated in place, from the
+    artificial basis: ``(basis, basic values, -objective, budget spent)``."""
     basis = np.arange(n, n + m)
     tmp = np.empty(n + m + 1)  # one multiple of the pivot row, reused
     # Views into T, taken once: they follow its in-place updates.
@@ -190,8 +221,7 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     stall = 0
     last_obj = T[m, -1]
     bland = False
-    budget, exhausted = _pivot_budget(m, n), False
-    for _ in range(budget):
+    for _ in range(_pivot_budget(m, n)):
         if bland:
             negs = (costs < -_TOL).nonzero()[0]
             if negs.size == 0:
@@ -240,17 +270,156 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
                 stall = 0
             last_obj = T[m, -1]
     else:
-        exhausted = True
-    obj = -T[m, -1]
+        return basis, rhs, T[m, -1], True
+    return basis, rhs, T[m, -1], False
+
+
+def _exact_phase1(coo, b: np.ndarray, m: int, n: int):
+    """Phase 1 in revised form, while its arithmetic is exact:
+    ``(basis, basic values, -objective, budget spent)`` as
+    :func:`_dense_phase1` returns them, or None at the first pivot whose
+    dense update could round (see the module docstring)."""
+    row, idx, coef = coo
+    if not (np.array_equal(coef, np.rint(coef)) and np.array_equal(b, np.rint(b))):
+        return None
+    neg = b < 0
+    if neg.any():
+        coef = np.where(neg[row], -coef, coef)
+        b = np.where(neg, -b, b)
+    # Every start value (A's entries with repeats added, column sums, b and
+    # its sum) is at most a column's or b's sum of magnitudes.
+    if max(np.bincount(idx, weights=np.abs(coef), minlength=n).max(initial=0.0), b.sum()) >= _EXACT:
+        return None
+    # A with repeated indices added, in row-major (CSR) and column-major
+    # (CSC) order.
+    r_of, c_of, vals = row, idx, coef
+    key = row * n + idx
+    if not (key[1:] > key[:-1]).all():
+        key, inv = np.unique(key, return_inverse=True)
+        vals = np.bincount(inv, weights=coef)
+        r_of, c_of = np.divmod(key, n)
+    row_ptr = np.searchsorted(r_of, np.arange(m + 1))
+    by_col = np.argsort(c_of, kind="stable")
+    col_rows, col_vals = r_of[by_col], vals[by_col]
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(c_of, minlength=n), out=col_ptr[1:])
+    amax = max(1.0, np.abs(vals).max(initial=0.0))
+
+    basis = np.arange(n, n + m)
+    binv = np.eye(m)
+    norms = np.ones(m)  # row sums of |binv|
+    xb = b.copy()
+    d = np.zeros(n + m)  # the objective row over [A | I]
+    d[:n] = -np.bincount(idx, weights=coef, minlength=n)
+    obj = -b.sum()
+    e = 0  # log2 det(B): every tableau value is a multiple of 2**-e
+
+    stall = 0
+    last_obj = obj
+    bland = False
+    for _ in range(_pivot_budget(m, n)):
+        if bland:
+            negs = (d < -_TOL).nonzero()[0]
+            if negs.size == 0:
+                break
+            j = int(negs[0])
+        else:
+            j = int(d.argmin())
+            if d[j] >= -_TOL:
+                break
+        if j < n:
+            lo, hi = col_ptr[j], col_ptr[j + 1]
+            col = binv[:, col_rows[lo:hi]] @ col_vals[lo:hi]
+        else:
+            col = binv[:, j - n].copy()
+        pos = (col > _TOL).nonzero()[0]
+        if pos.size == 0:
+            raise Infeasible("phase-1 column with no positive entries")
+        ratios = xb[pos] / col[pos]
+        cand = pos[ratios <= ratios.min() + _TOL]
+        r = int(cand[basis[cand].argmin()])
+        p, dj = col[r], d[j]
+        frac, exp = np.frexp(p)
+        if frac != 0.5:
+            return None
+        e_new = e + int(exp) - 1
+        rho, xr = binv[r] / p, xb[r] / p  # row r after the pivot
+        rho1 = np.abs(rho).sum()
+        mu_max = max(np.abs(col).max(), -dj)
+        if mu_max * max(rho1 * amax, abs(xr)) * 2.0 ** (e + e_new) >= _EXACT:
+            return None
+        # Row r of the tableau's A-part, rho @ A, from the rows of A in
+        # rho's support.
+        sup = rho.nonzero()[0]
+        lens = row_ptr[sup + 1] - row_ptr[sup]
+        at = np.arange(lens.sum()) + np.repeat(row_ptr[sup] - (np.cumsum(lens) - lens), lens)
+        cols, w = c_of[at], vals[at] * np.repeat(rho[sup], lens)
+
+        nz = (np.abs(col) > 1e-12).nonzero()[0]
+        binv[nz] -= np.multiply.outer(col[nz], rho)
+        binv[r] = rho
+        norms[nz] = np.abs(binv[nz]).sum(axis=1)
+        xb[nz] -= col[nz] * xr
+        xb[r] = xr
+        if len(sup) == 1:  # one row of A: its columns are distinct
+            d[cols] -= dj * w
+        else:
+            d[:n] -= dj * np.bincount(cols, weights=w, minlength=n)
+        d[n:] -= dj * rho
+        obj -= dj * xr
+        basis[r] = j
+        e = e_new
+        # Bound every value of the dense tableau: a row's A-part by its
+        # B⁻¹ row's 1-norm times amax, the objective row's A-part by the
+        # duals' 1-norm (the duals are 1 - d[n:]) times amax.
+        top = max(max(norms.max(), np.abs(1.0 - d[n:]).sum()) * amax,
+                  np.abs(xb).max(), np.abs(d[n:]).max(), abs(obj))
+        if top * 2.0**e >= _EXACT:
+            return None
+        if not bland:
+            if abs(obj - last_obj) < 1e-12:
+                stall += 1
+                if stall >= _STALL_LIMIT:
+                    bland = True
+            else:
+                stall = 0
+            last_obj = obj
+    else:
+        return basis, xb, obj, True
+    return basis, xb, obj, False
+
+
+def solve_feasible(system: LinearSystem) -> np.ndarray:
+    """Return one non-negative solution of ``A x = b`` (phase-1 simplex).
+
+    Raises :class:`Infeasible` if the phase-1 optimum is bounded away from
+    zero, and :class:`PivotBudgetExhausted` if the pivots run out with the
+    objective still above that tolerance. The result is exact at the level
+    of the verified residual check (``<= 1e-6`` per row) before any
+    rounding by callers.
+    """
+    m, n = len(system.rows), system.n_vars
+    if m == 0:
+        return np.zeros(n)
+    coo, b = system._coo(), system._rhs()
+    scale = np.abs(b)
+    end = None
+    if (m + 1) * (n + m + 1) >= REVISED_MIN_CELLS:
+        end = _exact_phase1(coo, b, m, n)
+    if end is None:
+        end = _dense_phase1(phase1_tableau(system, coo=coo), m, n)
+    basis, rhs, neg_obj, exhausted = end
+    obj = -neg_obj
     if obj > 1e-6 * max(1.0, scale.sum()):
         if exhausted:
+            budget = _pivot_budget(m, n)
             raise PivotBudgetExhausted(f"{budget} pivots spent, phase-1 objective {obj:g} > 0")
         raise Infeasible(f"phase-1 optimum {obj:g} > 0")
 
     x = np.zeros(n + m)
     x[basis] = rhs
     x = np.clip(x[:n], 0.0, None)
-    res = system.residuals(x)
+    res = system.residuals(x, coo=coo)
     if np.abs(res).max() > 1e-6 * max(1.0, scale.max()):
         raise Infeasible(f"verified residual too large: {np.abs(res).max():g}")
     return x

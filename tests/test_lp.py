@@ -5,8 +5,9 @@ import pytest
 from repro.core.constraints import CC, Interval, Predicate, total_cc
 from repro.core import grid
 from repro.core.grid import GridTooLarge
-from repro.core.lp import formulate_view, solve_view
+from repro.core.lp import SubViewFormulation, _cells, formulate_view, solve_view
 from repro.core.preprocess import ViewPlan, plan_views, rewrite_ccs, RawCC
+from repro.core.regions import Regions
 from repro.core.workload import base_size_ccs
 
 from .toy import toy_schema
@@ -188,3 +189,21 @@ class TestToySchemaFormulation:
         plans = plan_views(sch, rewrite_ccs(sch, raw))
         form = formulate_view(plans["r"], mode="region")
         assert form.n_vars <= form.grid_vars_analytic
+
+
+def test_consistency_cells_renumber_before_the_key_overflows():
+    """Four shared attributes of 2**17 cells each span 2**68 mixed-radix
+    keys: the key is renumbered densely before it would wrap, so cells
+    2**13 apart on the first attribute (2**64 apart as keys) stay apart."""
+    attrs = ("a", "b", "c", "d")
+    ids = np.array([[0, 0, 0, 0], [2**13, 0, 0, 0], [0, 0, 0, 0], [0, 5, 0, 1]])
+    regions = Regions(attrs, ids, ids + 1, np.zeros(4, dtype=np.int64), [frozenset()])
+    s = SubViewFormulation(attrs, regions, [], offset=10)
+    boundaries = {a: range(2**17 - 1) for a in attrs}
+    cells = _cells(s, {a: ids[:, k] for k, a in enumerate(attrs)}, attrs, boundaries)
+    assert list(cells) == [
+        ((0, 1),) * 4,
+        ((2**13, 2**13 + 1), (0, 1), (0, 1), (0, 1)),
+        ((0, 1), (5, 6), (0, 1), (1, 2)),
+    ]
+    assert [v.tolist() for v in cells.values()] == [[10, 12], [11], [13]]

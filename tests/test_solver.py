@@ -321,15 +321,59 @@ def _outcome(solve, system: LinearSystem, **kw):
         return f"Infeasible: {exc}"
 
 
+_EXACT_PHASE1 = solver._exact_phase1
+
+
+def _exact_path_spy(mp: pytest.MonkeyPatch) -> list[bool]:
+    """Record, per solve, whether the exact revised path finished (True)
+    or handed over to the dense loop (False)."""
+    finished: list[bool] = []
+
+    def spy(*args):
+        end = _EXACT_PHASE1(*args)
+        finished.append(end is not None)
+        return end
+
+    mp.setattr(solver, "_exact_phase1", spy)
+    return finished
+
+
+def _exact_ends_as_dense(system: LinearSystem) -> bool:
+    """Whether the exact revised path finishes on ``system``; when it does,
+    assert that it ends in the dense loop's state: the same basis, the same
+    bits of the basic values and the objective, the same budget flag."""
+    m, n = len(system.rows), system.n_vars
+    exact = _EXACT_PHASE1(system._coo(), system._rhs(), m, n)
+    if exact is None:
+        return False
+    dense = solver._dense_phase1(phase1_tableau(system), m, n)
+    assert exact[0].tolist() == dense[0].tolist()
+    assert exact[1].view(np.int64).tolist() == dense[1].view(np.int64).tolist()
+    assert exact[2:] == dense[2:]
+    return True
+
+
 def _assert_same_bits(system: LinearSystem, seen: dict | None = None) -> None:
-    assert _outcome(solve_feasible, system) == _outcome(_reference_solve, system, seen=seen)
+    """Same outcome as the reference on the solver's own choice of path,
+    and with every system sent to the exact path first; ``seen`` also
+    counts how often that path finished and how often it handed over."""
+    want = _outcome(_reference_solve, system, seen=seen)
+    assert _outcome(solve_feasible, system) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "REVISED_MIN_CELLS", 0)
+        assert _outcome(solve_feasible, system) == want
+    if seen is not None:
+        key = "exact_finished" if _exact_ends_as_dense(system) else "exact_fell_back"
+        seen[key] = seen.get(key, 0) + 1
 
 
-def _small_int_system(rng, n: int, m: int, density: float, zero_frac: float) -> LinearSystem:
-    """``A x* = b`` with ``A`` in {-3..3} at ``density``, ``x* >= 0`` with a
-    ``zero_frac`` share of zeros (degenerate vertices), a total row and one
-    signed consistency-like row ``sum(x[S]) - sum(x[T]) = d``."""
-    A = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < density)
+def _small_int_system(rng, n: int, m: int, density: float, zero_frac: float,
+                      coefs: tuple[int, int] = (-3, 3)) -> LinearSystem:
+    """``A x* = b`` with ``A`` in ``coefs`` (an inclusive range) at
+    ``density``, ``x* >= 0`` with a ``zero_frac`` share of zeros (degenerate
+    vertices), a total row and one signed consistency-like row
+    ``sum(x[S]) - sum(x[T]) = d``."""
+    A = rng.integers(coefs[0], coefs[1] + 1, (m, n)) * (rng.random((m, n)) < density)
     xstar = rng.integers(0, 6, n) * (rng.random(n) >= zero_frac)
     s = LinearSystem(n)
     s.add_sum(range(n), int(xstar.sum()))
@@ -355,6 +399,17 @@ def _degenerate_system(rng, n: int) -> LinearSystem:
     return s
 
 
+def _network_system(rng, n: int) -> LinearSystem:
+    """``x_0 = 100`` and ``n`` rows ``x_a - x_b = 0``: degenerate enough to
+    reach the Bland switch."""
+    s = LinearSystem(n)
+    s.add_sum([0], 100)
+    for _ in range(n):
+        a, b = rng.choice(n, 2, replace=False)
+        s.add([(a, 1.0), (b, -1.0)], 0)
+    return s
+
+
 class TestBitwiseAgainstReference:
     """:func:`solve_feasible` returns the same bits as the plain pivot loop,
     or raises the same :class:`Infeasible`."""
@@ -369,11 +424,25 @@ class TestBitwiseAgainstReference:
         degenerate = _degenerate_system(rng, 40)
         _assert_same_bits(degenerate, seen)
         _check(degenerate, solve_feasible(degenerate))
+        # Few sparse signed sums, nearer the region LPs: the exact path
+        # finishes on some of them.
+        for _ in range(8):
+            n, m = int(rng.integers(20, 120)), int(rng.integers(3, 12))
+            _assert_same_bits(
+                _small_int_system(rng, n, m, density=0.1, zero_frac=0.5, coefs=(-1, 1)), seen)
+        # A network matrix is totally unimodular, so every pivot is ±1: the
+        # exact path finishes, past the Bland switch.
+        before = dict(seen)
+        _assert_same_bits(_network_system(rng, 120), seen)
+        assert seen["bland"] > before["bland"]
+        assert seen["exact_finished"] > before["exact_finished"]
         assert seen["non_unit_pivots"] > 0
         assert seen["unit_mus"] > 0
         assert seen["shared_non_unit_mus"] > 0
         assert seen["tied_ratios"] > 0
         assert seen["bland"] > 0
+        assert seen["exact_finished"] > 0
+        assert seen["exact_fell_back"] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -396,20 +465,96 @@ class TestBitwiseAgainstReference:
         _assert_same_bits(s)
 
 
-@pytest.mark.parametrize("name", ["wlc-101", "job-lite-303"])
-def test_substrate_lps_match_reference_bitwise(name):
+class TestExactPath:
+    """The exact revised path takes the dense loop's pivots and returns its
+    bits; it hands over on inexact data, and the wide substrate LPs finish
+    on it."""
+
+    @pytest.mark.parametrize("first", [
+        ([(0, 1.0), (1, 1.0)], 2.0**53),  # a start value reaches 2**53
+        ([(0, 0.5), (1, 1.0)], 3.0),  # not integral
+        ([(0, 2.0), (1, 1.0)], 2.0**52 + 1),  # the first pivot, 2, takes a product to 2**53
+        ([(0, 1.0), (1, -2.0**52)], 1.0),  # then the duals' 1-norm times max |A|: 2 * 2**52
+    ])
+    def test_hands_over_to_the_dense_loop(self, monkeypatch, first):
+        s = LinearSystem(4)
+        s.add(*first)
+        s.add_sum([2], 1)
+        s.add_sum([3], 1)
+        want = _outcome(_reference_solve, s)
+        monkeypatch.setattr(solver, "REVISED_MIN_CELLS", 0)
+        finished = _exact_path_spy(monkeypatch)
+        assert _outcome(solve_feasible, s) == want
+        assert finished == [False]
+
+    def test_repeated_index_adds_up(self):
+        s = LinearSystem(3)
+        s.add([(0, 1.0), (1, 1.0), (0, 1.0)], 4)  # the first pivot, 2, is in this row
+        s.add_sum([2], 1)
+        seen: dict = {}
+        _assert_same_bits(s, seen)
+        assert seen["exact_finished"] == 1
+
+    def test_spent_budget_reported_as_by_the_dense_loop(self, monkeypatch):
+        s = _network_system(np.random.default_rng(3), 40)
+
+        def outcome(cells, budget):
+            monkeypatch.setattr(solver, "REVISED_MIN_CELLS", cells)
+            monkeypatch.setattr(solver, "_pivot_budget", lambda m, n: budget)
+            try:
+                return solve_feasible(s).view(np.int64).tolist()
+            except PivotBudgetExhausted as exc:
+                return str(exc)
+
+        finished = _exact_path_spy(monkeypatch)
+        for budget in range(0, 60, 3):
+            assert outcome(0, budget) == outcome(1 << 62, budget)
+        assert all(finished)
+        assert isinstance(outcome(0, 0), str) and isinstance(outcome(0, 57), list)
+
+    def test_small_systems_stay_dense(self, monkeypatch):
+        finished = _exact_path_spy(monkeypatch)
+        solve_feasible(_small_int_system(np.random.default_rng(5), 30, 12, 0.3, 0.5))
+        assert finished == []
+
+    def test_wlc_catalog_sales_never_builds_the_tableau(self, monkeypatch):
+        (make_schema, make_db, make_queries), scale, _ = GOLDEN["wlc-101"]
+        schema = make_schema()
+        ccs = hydra.scale_ccs(workload.client_ccs(schema, make_db(), make_queries()), scale)
+        system = formulate_view(preprocess.plan_views(schema, ccs)["catalog_sales"]).system
+        want = _reference_solve(system).view(np.int64).tolist()
+
+        def no_tableau(*args, **kw):
+            raise AssertionError("dense tableau built")
+
+        monkeypatch.setattr(solver, "phase1_tableau", no_tableau)
+        assert solve_feasible(system).view(np.int64).tolist() == want
+
+
+@pytest.mark.parametrize("name", ["wlc-101", "wlc-104", "job-lite-303"])
+def test_substrate_lps_match_reference_bitwise(name, monkeypatch):
     """Every view's LP solution equals the plain pivot loop's, bit for bit;
     on wlc-101 the basic solution has 29 fractional variables, 23 in
-    date_dim and 6 in store_returns."""
+    date_dim and 6 in store_returns. The wide LPs go to the exact path
+    first: wlc-101 catalog_sales and wlc-104 inventory (pivots 1, 2 and
+    0.5) finish on it, wlc-104 store_returns hands over at a pivot of 6."""
     (make_schema, make_db, make_queries), scale, _ = GOLDEN[name]
     schema, db = make_schema(), make_db()
     ccs = hydra.scale_ccs(workload.client_ccs(schema, db, make_queries()), scale)
-    fractional = {}
+    finished = _exact_path_spy(monkeypatch)
+    fractional, exact = {}, {}
     for view, plan in preprocess.plan_views(schema, ccs).items():
         system = formulate_view(plan).system
         x = solve_feasible(system)
+        if finished:
+            exact[view] = finished.pop() and _exact_ends_as_dense(system)
         assert x.view(np.int64).tolist() == _reference_solve(system).view(np.int64).tolist(), view
         if k := int(np.count_nonzero(np.abs(x - np.rint(x)) > 1e-9)):
             fractional[view] = k
     if name == "wlc-101":
         assert fractional == {"date_dim": 23, "store_returns": 6}
+        assert exact == {"catalog_sales": True}
+    if name == "wlc-104":
+        assert exact == {"inventory": True, "store_returns": False}
+    if name == "job-lite-303":
+        assert exact == {}
