@@ -10,10 +10,11 @@ alone, the count the benchmark's ``regions.label_regions`` counter reports
 in ``hydrabench/layers.py``; repeated here so this script needs only
 ``repro``), its LP variables, rows and nonzeros, and the analytic size of
 DataSynth's grid (``∏ ℓᵢ`` summed over its sub-views, Fig 12), and
-``exact_path``: whether the solver's exact revised phase 1 finished the
-view's LP ("finished"), handed it over to the dense tableau ("handed
-over"), or was not tried (the LP is below
-:data:`repro.core.solver.REVISED_MIN_CELLS`). WLc-100 (``make_wlc()``'s
+``exact_path``: whether phase 1 on the solver's exact revised state
+finished the view's LP ("finished"), refused a pivot and restarted on the
+dense tableau ("handed over"), or did not start there
+(:func:`repro.core.solver.phase1_state` picked the dense tableau: the LP is
+below :data:`repro.core.solver.REVISED_MIN_CELLS` or not integral). WLc-100 (``make_wlc()``'s
 default: 100 queries) is formulated only: its store_sales LP hands over to
 the dense tableau, whose solve takes minutes (ROADMAP item 2).
 
@@ -62,12 +63,12 @@ def label_regions(form) -> int:
 
 
 def exact_path(system) -> str:
-    """How the solver's exact revised phase 1 fares on ``system``."""
-    m, n = len(system.rows), system.n_vars
-    if (m + 1) * (n + m + 1) < solver.REVISED_MIN_CELLS:
+    """How phase 1 fares on ``system`` when it starts on the solver's exact
+    revised state."""
+    state = solver.phase1_state(system)
+    if not isinstance(state, solver._Exact):
         return "not tried"
-    end = solver._exact_phase1(system._coo(), system._rhs(), m, n)
-    return "handed over" if end is None else "finished"
+    return "handed over" if solver._phase1(state, len(system.rows), system.n_vars) is None else "finished"
 
 
 def lp_size(form) -> dict:

@@ -107,8 +107,8 @@ def _sample_view_instance(
             out[idxs] = g_vals[rows]
         for k, a in enumerate(new):
             inst[a] = out[:, k]
-    # Canonical view attribute order.
-    return pd.DataFrame({a: inst[a] for a in form.plan.attrs if a in inst})
+    # Canonical view attribute order; n rows also when the view has no attributes.
+    return pd.DataFrame({a: inst[a] for a in form.plan.attrs if a in inst}, index=pd.RangeIndex(n))
 
 
 def _extract_relations(
@@ -120,17 +120,24 @@ def _extract_relations(
     append a tuple to the referenced view for every distinct combination
     it lacks, in the order the combinations first appear; then assign FKs
     by matching value combinations to referenced row positions (first
-    match), PK = row position.
+    match), PK = row position. Combinations are matched on the referenced
+    view's attributes plus a constant column, so that a view with no
+    attributes has one (empty) combination.
     """
+
+    def combos(frame: pd.DataFrame, cols: list[str]) -> pd.DataFrame:
+        return frame[cols].assign(_k=0)
+
     extras = {r: 0 for r in schema.relations}
     for rel in schema.reverse_topo_order():
         vi = instances[rel]
         for target in sorted(schema.dependencies(rel)):
             vj = instances[target]
             tcols = list(vj.columns)
-            need = vi[tcols].drop_duplicates()
-            found = need.merge(vj.drop_duplicates(), how="left", on=tcols, indicator=True)
-            missing = need[(found["_merge"] == "left_only").to_numpy()]
+            need = combos(vi, tcols).drop_duplicates()
+            found = need.merge(combos(vj, tcols).drop_duplicates(), how="left",
+                               on=tcols + ["_k"], indicator=True)
+            missing = need[(found["_merge"] == "left_only").to_numpy()].drop(columns="_k")
             if len(missing):
                 instances[target] = pd.concat([vj, missing], ignore_index=True)
                 extras[target] += len(missing)
@@ -143,8 +150,9 @@ def _extract_relations(
         for fk in sorted(rel.fks):
             vj = instances[rel.fks[fk]]
             tcols = list(vj.columns)
-            first = vj.assign(_pos=np.arange(1, len(vj) + 1)).drop_duplicates(tcols)
-            out[fk] = vi[tcols].merge(first, how="left", on=tcols)["_pos"].to_numpy()
+            first = combos(vj, tcols).assign(_pos=np.arange(1, len(vj) + 1))
+            first = first.drop_duplicates(tcols + ["_k"])
+            out[fk] = combos(vi, tcols).merge(first, how="left", on=tcols + ["_k"])["_pos"].to_numpy()
         for a in rel.attrs:
             out[a.name] = vi[a.name].to_numpy()
         relations[rel_name] = out

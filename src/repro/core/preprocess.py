@@ -223,12 +223,13 @@ def plan_views(schema: Schema, ccs: list[CC]) -> dict[str, ViewPlan]:
                     edges.add(frozenset((a, b)))
         fused = _fuse_fat_separators(_maximal_cliques(list(attr_names), edges))
         # Canonical attribute order inside each sub-view + deterministic
-        # sub-view order (by first attribute position).
+        # sub-view order (by first attribute position). A view with no
+        # attributes keeps one empty sub-view, whose one variable carries |R|.
         idx = {a: i for i, a in enumerate(attr_names)}
         subviews = sorted(
             (tuple(sorted(c, key=idx.__getitem__)) for c in fused),
             key=lambda t: tuple(idx[a] for a in t),
-        )
+        ) or [()]
         plans[rel] = ViewPlan(
             view=rel,
             attrs=attr_names,

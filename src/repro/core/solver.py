@@ -7,80 +7,67 @@ same contract with a two-phase (phase-1 only) simplex:
 
     find x >= 0  s.t.  A x = b
 
-Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
-a stall budget, which guarantees termination on degenerate LPs. The
-constraint matrices here have only ±1 coefficients and integral right-hand
-sides, so double-precision pivoting is numerically benign; the returned
-basic feasible solution is verified against the constraints and rounded.
-Basic solutions are not always integral: on the benchmark's wlc-lp
-workload (TPC-DS-lite WLc, 80 queries) 29 variables come out fractional,
-and the rounded point misses its rows by up to 1. That residual is
-*measured* by the metrics module, mirroring the paper's own error
-reporting, never silently ignored; making integrality part of the
-solver's contract is ROADMAP item 1.
+The returned basic feasible solution is verified against the constraints
+(:class:`LinearSystem` keeps each row sparse, as an index array and a
+coefficient array) and rounded by callers. Basic solutions are not always
+integral: on the benchmark's wlc-lp workload (TPC-DS-lite WLc, 80 queries)
+29 variables come out fractional, and the rounded point misses its rows by
+up to 1. That residual is *measured* by the metrics module, never silently
+ignored; making integrality part of the solver's contract is ROADMAP item 1.
 
-:class:`LinearSystem` keeps each row sparse, as an index array and a
-coefficient array. The dense path builds the phase-1 tableau straight from
-those rows (:func:`phase1_tableau`, no intermediate dense ``A``) and updates
-its rows in place; the residual check reads the sparse rows.
+**One loop, two states.** :func:`_phase1` holds the pivot rule once:
+Dantzig's argmin with a switch to Bland's rule after a stall budget (which
+guarantees termination on degenerate LPs), a ratio test over the column's
+positive entries only (the others never win it), the tie-break on the
+smallest basic index (an ``argmin`` over the int64 basis) and the pivot
+budget. It runs on either of two states, each exposing ``costs``, ``rhs``,
+``obj``, ``column(j)`` and ``pivot(r, j, col)``; :func:`phase1_state`
+picks the start.
 
-A pivot on ``T[r, j]`` divides row ``r`` by it, then subtracts
-``mu * T[r]`` from every other row whose ``mu = T[i, j]`` is nonzero. The
-update does the same IEEE-754 operations as that textbook form, or ones
-equal to them bit for bit, but fewer passes over the rows:
+:class:`_Dense` is the tableau ``[A | I | b]`` over its objective row,
+built straight from the sparse rows (:func:`phase1_tableau`). A pivot on
+``T[r, j]`` does the IEEE-754 operations of the textbook update (divide
+row ``r`` by it, subtract ``mu * T[r]`` from every other row with a nonzero
+``mu = T[i, j]``), or ones equal to them bit for bit, in fewer passes: row
+``r`` is divided only when ``T[r, j] != 1.0``; a row with ``mu == ±1.0``
+has the pivot row subtracted or added directly; each other multiple is
+computed once and subtracted from every row of its group. Most pivots of
+the region LPs are 1.0 and most multipliers ±1, since their rows are sums
+of variables.
 
-* the pivot row is divided only when ``T[r, j] != 1.0`` (``y / 1.0 == y``);
-* a row with ``mu == 1.0`` has the pivot row subtracted directly
-  (``a - 1.0 * y == a - y``), and one with ``mu == -1.0`` added
-  (``a - (-y)`` is ``a + y`` by definition);
-* the rows are grouped by ``mu``, and each other multiple ``mu * T[r]`` is
-  computed once per pivot and subtracted from every row of its group.
+:class:`_Exact` is the revised form, for an LP whose tableau would have at
+least :data:`REVISED_MIN_CELLS` cells and whose data are integers (wlc-lp's
+catalog_sales: 183 × 83,850, a 124 MB tableau): ``A`` as CSR and CSC
+arrays, an explicit m × m ``B⁻¹``, the basic values and one reduced-cost row
+over all ``n + m`` columns. Its column is ``B⁻¹ A_j`` (an artificial one a
+column of ``B⁻¹``); its pivot row is ``ρᵀA``, with ``ρ`` row ``r`` of
+``B⁻¹``, summed over the rows of ``A`` in ``ρ``'s support.
 
-Each row is updated from the same pivot row, so their order does not
-matter, and every basic solution (every LP vertex) is the one the textbook
-loop reaches. Most pivots of the region LPs are 1.0 and most multipliers
-±1, since their rows are sums of variables.
+Why both states show the loop the same bits: ``A`` and ``b`` are integral
+and the basis starts at ``I``, so ``det B`` is the product of the pivots
+so far. While every pivot is a power of two, ``det B = 2**e`` and, by
+Cramer's rule, every tableau value is an integer multiple of ``2**-e``.
+Float64 holds every such multiple below ``2**(53 - e)`` exactly, and then
+the dense update's division, products and differences are all exact: they
+equal the rational values, which the exact state also computes exactly.
+Before a pivot changes anything, :meth:`_Exact.pivot` bounds what the
+dense update would produce from pre-pivot quantities: a new value by
+``|old| + |mu|·|new row r|``, a row of ``B⁻¹A`` being at most its ``B⁻¹``
+row's 1-norm times ``max |A|`` and the objective row's A-part at most the
+duals' 1-norm times ``max |A|``. It refuses, changing nothing, a pivot that
+is not a power of two or whose new values times ``2**e`` or products times
+``2**(2e)`` could reach ``2**53``. The product bound covers the pivot
+``2**k`` times the 1 it leaves in its row, so ``e`` stays at most 26 and
+every nonzero above the dense update's ``1e-12`` row threshold.
 
-The choice of pivot is kept in arrays, again with the textbook's
-outcome: the ratio test divides only the column's positive entries (the
-others never win it), and the leaving row is the tied candidate whose
-basic variable has the smallest index, an ``argmin`` over the int64
-basis, whose entries are distinct.
-
-**Two paths, one pivot sequence.** A view LP has few rows and many region
-variables (wlc-lp's catalog_sales: 183 × 83,850, a 124 MB tableau). When
-the tableau would have at least :data:`REVISED_MIN_CELLS` cells and every
-coefficient and right-hand side is an integer, :func:`solve_feasible` first
-runs phase 1 in revised form (:func:`_exact_phase1`). It holds ``A`` as
-CSR and CSC arrays, an explicit m × m ``B⁻¹``, the basic values and one
-reduced-cost row over all ``n + m`` columns. The entering column is
-``B⁻¹ A_j``; the pivot row is ``ρᵀA``, with ``ρ`` row ``r`` of ``B⁻¹``,
-summed over the rows of ``A`` in ``ρ``'s support; an artificial column is
-a column of ``B⁻¹``. The rules are the dense loop's: the same argmin,
-ratio test, tie-break, Bland switch and budget.
-
-Why the bits are equal: ``A`` and ``b`` are integral and the basis starts
-at ``I``, so ``det B`` is the product of the pivots so far. While every
-pivot is a power of two, ``det B = 2**e`` and, by Cramer's rule, every
-tableau value is an integer multiple of ``2**-e``. Float64 holds every such
-multiple below ``2**(53 - e)`` exactly, and then the dense loop's division
-by a power of two, its products ``mu * T[r]`` and its differences are all
-exact: they equal the rational values, in any order. The revised path
-computes those same values, also exactly, so both paths see the same
-numbers, compare them with the same tolerances and take the same pivots.
-Before each pivot it checks that the dense loop would stay exact, using
-bounds for the values it does not hold: a row of ``B⁻¹A`` is at most the
-row's 1-norm in ``B⁻¹`` times ``max |A|``, and the objective row's A-part
-at most the duals' 1-norm times ``max |A|``. It hands over, with no state
-kept, to the dense loop from the artificial basis at the first pivot that
-is not a power of two, or once a value or product times ``2**e`` could
-reach ``2**53``. The bound on products covers the pivot ``2**k`` times
-the 1 it leaves in its row, ``2**(2e)`` after scaling, so ``e`` stays at
-most 26 and every nonzero above the dense loop's ``1e-12`` row threshold.
-The dense loop then takes the same pivots again and goes on past that
-one. A run that ends on the exact path (at a zero objective, an
-infeasible optimum or the end of the budget) ends in the dense loop's
-state, so both paths return the same ``x`` or raise the same error.
+A refused pivot restarts phase 1 on the dense state from the artificial
+basis, which takes the same pivots again and goes on past that one.
+Building the tableau as ``B⁻¹[A | I | b]`` at the refusal gives the same
+bits, but its m²·n product costs more than replaying the power-of-two
+pivots (wlc-103 web_sales 2.61 → 3.07 s, wlc-104 store_returns 114 → 185
+ms, on 4 cores). A run that ends on the exact state (at a zero objective,
+an infeasible optimum or the end of the budget) ends in the dense state's
+values, so both return the same ``x`` or raise the same error.
 """
 from __future__ import annotations
 
@@ -93,8 +80,8 @@ import numpy as np
 #: switching to Bland's rule.
 _STALL_LIMIT = 64
 _TOL = 1e-7
-#: Phase-1 tableaux of at least this many cells, ``(m+1)·(n+m+1)``, first
-#: run the exact revised path; read at call time.
+#: Phase-1 tableaux of at least this many cells, ``(m+1)·(n+m+1)``, start
+#: on the exact revised state; read at call time.
 REVISED_MIN_CELLS = 1 << 22
 #: Float64 holds every integer multiple of ``2**-e`` below ``2**(53-e)``.
 _EXACT = 2.0**53
@@ -186,60 +173,56 @@ def _pivot_budget(m: int, n: int) -> int:
     return 50 * (m + n) + 1000
 
 
+def _feasible_start(coo, b: np.ndarray, n: int):
+    """The rows with ``b < 0`` negated, so the artificial basis starts
+    feasible: ``(coef, b, objective row over A, objective entry)``, the
+    objective row minus each column's sum and the entry ``-sum(b)``."""
+    row, idx, coef = coo
+    neg = b < 0
+    coef = np.where(neg[row], -coef, coef)
+    b = np.where(neg, -b, b)
+    return coef, b, -np.bincount(idx, weights=coef, minlength=n), -b.sum()
+
+
 def phase1_tableau(system: LinearSystem, *, coo=None) -> np.ndarray:
     """The phase-1 tableau ``[A | I | b]`` over the objective row, built
-    straight from the sparse rows: rows with ``b < 0`` are negated so the
-    artificial basis starts feasible, and the objective row holds the
-    reduced costs of minimizing the sum of the artificials (minus each
-    column's sum, and ``-sum(b)``). A repeated index within a row adds up.
-    ``coo`` is ``system._coo()``, for a caller that has it already.
+    straight from the sparse rows (:func:`_feasible_start`); the objective
+    row holds the reduced costs of minimizing the sum of the artificials.
+    A repeated index within a row adds up. ``coo`` is ``system._coo()``,
+    for a caller that has it already.
     """
     m, n = len(system.rows), system.n_vars
     width = n + m + 1
-    row, idx, coef = system._coo() if coo is None else coo
-    b = system._rhs()
-    neg = b < 0
-    coef = np.where(neg[row], -coef, coef)
-    b[neg] *= -1.0
+    coo = system._coo() if coo is None else coo
+    row, idx, _ = coo
+    coef, b, costs, obj = _feasible_start(coo, system._rhs(), n)
     T = np.bincount(row * width + idx, weights=coef, minlength=(m + 1) * width)
     T = T.reshape(m + 1, width)
     T[np.arange(m), n + np.arange(m)] = 1.0
     T[:m, -1] = b
-    T[m, :n] = -np.bincount(idx, weights=coef, minlength=n)
-    T[m, -1] = -b.sum()
+    T[m, :n] = costs
+    T[m, -1] = obj
     return T
 
 
-def _dense_phase1(T: np.ndarray, m: int, n: int):
-    """Phase 1 on the dense tableau ``T``, updated in place, from the
-    artificial basis: ``(basis, basic values, -objective, budget spent)``."""
-    basis = np.arange(n, n + m)
-    tmp = np.empty(n + m + 1)  # one multiple of the pivot row, reused
-    # Views into T, taken once: they follow its in-place updates.
-    costs, rhs, rows = T[m, : n + m], T[:m, -1], list(T)
+class _Dense:
+    """Phase 1's state as the tableau ``T`` (:func:`phase1_tableau`),
+    updated in place."""
 
-    stall = 0
-    last_obj = T[m, -1]
-    bland = False
-    for _ in range(_pivot_budget(m, n)):
-        if bland:
-            negs = (costs < -_TOL).nonzero()[0]
-            if negs.size == 0:
-                break
-            j = int(negs[0])
-        else:
-            j = int(costs.argmin())
-            if costs[j] >= -_TOL:
-                break
-        col = T[:m, j]
-        pos = (col > _TOL).nonzero()[0]
-        if pos.size == 0:
-            # Unbounded phase-1 is impossible; numerical guard.
-            raise Infeasible("phase-1 column with no positive entries")
-        ratios = rhs[pos] / col[pos]
-        cand = pos[ratios <= ratios.min() + _TOL]
-        # Bland tie-break on leaving variable index for anti-cycling.
-        r = int(cand[basis[cand].argmin()])
+    def __init__(self, T: np.ndarray):
+        self.T, self.rows, self.tmp = T, list(T), np.empty(T.shape[1])
+        # Views into T, taken once: they follow its in-place updates.
+        self.costs, self.rhs = T[-1, :-1], T[:-1, -1]
+
+    @property
+    def obj(self) -> float:
+        return self.T[-1, -1]
+
+    def column(self, j: int) -> np.ndarray:
+        return self.T[:-1, j]
+
+    def pivot(self, r: int, j: int, col: np.ndarray) -> bool:
+        T, rows = self.T, self.rows
         prow = rows[r]
         if prow[j] != 1.0:
             prow /= prow[j]
@@ -255,110 +238,73 @@ def _dense_phase1(T: np.ndarray, m: int, n: int):
             elif mu == -1.0:
                 op, y = np.add, prow
             else:
-                op, y = np.subtract, np.multiply(mu, prow, out=tmp)
+                op, y = np.subtract, np.multiply(mu, prow, out=self.tmp)
             for i in group:
                 op(rows[i], y, out=rows[i])
-        basis[r] = j
-        if not bland:
-            # Progress in phase-1 raises T[m, -1] (= -objective) toward 0;
-            # a run of degenerate pivots with no movement triggers Bland.
-            if abs(T[m, -1] - last_obj) < 1e-12:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-            last_obj = T[m, -1]
-    else:
-        return basis, rhs, T[m, -1], True
-    return basis, rhs, T[m, -1], False
+        return True
 
 
-def _exact_phase1(coo, b: np.ndarray, m: int, n: int):
-    """Phase 1 in revised form, while its arithmetic is exact:
-    ``(basis, basic values, -objective, budget spent)`` as
-    :func:`_dense_phase1` returns them, or None at the first pivot whose
-    dense update could round (see the module docstring)."""
-    row, idx, coef = coo
-    if not (np.array_equal(coef, np.rint(coef)) and np.array_equal(b, np.rint(b))):
-        return None
-    neg = b < 0
-    if neg.any():
-        coef = np.where(neg[row], -coef, coef)
-        b = np.where(neg, -b, b)
-    # Every start value (A's entries with repeats added, column sums, b and
-    # its sum) is at most a column's or b's sum of magnitudes.
-    if max(np.bincount(idx, weights=np.abs(coef), minlength=n).max(initial=0.0), b.sum()) >= _EXACT:
-        return None
-    # A with repeated indices added, in row-major (CSR) and column-major
-    # (CSC) order.
-    r_of, c_of, vals = row, idx, coef
-    key = row * n + idx
-    if not (key[1:] > key[:-1]).all():
-        key, inv = np.unique(key, return_inverse=True)
-        vals = np.bincount(inv, weights=coef)
-        r_of, c_of = np.divmod(key, n)
-    row_ptr = np.searchsorted(r_of, np.arange(m + 1))
-    by_col = np.argsort(c_of, kind="stable")
-    col_rows, col_vals = r_of[by_col], vals[by_col]
-    col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(c_of, minlength=n), out=col_ptr[1:])
-    amax = max(1.0, np.abs(vals).max(initial=0.0))
+class _Exact:
+    """Phase 1's state in revised form, while its arithmetic is exact (see
+    the module docstring): ``A`` as CSR and CSC arrays, ``B⁻¹`` with its
+    rows' 1-norms, the basic values ``rhs`` and the reduced costs ``costs``
+    over ``[A | I]``."""
 
-    basis = np.arange(n, n + m)
-    binv = np.eye(m)
-    norms = np.ones(m)  # row sums of |binv|
-    xb = b.copy()
-    d = np.zeros(n + m)  # the objective row over [A | I]
-    d[:n] = -np.bincount(idx, weights=coef, minlength=n)
-    obj = -b.sum()
-    e = 0  # log2 det(B): every tableau value is a multiple of 2**-e
+    def __init__(self, coo, b: np.ndarray, m: int, n: int):
+        row, idx, _ = coo
+        coef, self.rhs, d, self.obj = _feasible_start(coo, b, n)
+        # A with repeated indices added, in row-major (CSR) and column-major
+        # (CSC) order.
+        r_of, c_of, vals = row, idx, coef
+        key = row * n + idx
+        if not (key[1:] > key[:-1]).all():
+            key, inv = np.unique(key, return_inverse=True)
+            vals = np.bincount(inv, weights=coef)
+            r_of, c_of = np.divmod(key, n)
+        self.row_ptr = np.searchsorted(r_of, np.arange(m + 1))
+        self.c_of, self.vals = c_of, vals
+        by_col = np.argsort(c_of, kind="stable")
+        self.col_rows, self.col_vals = r_of[by_col], vals[by_col]
+        self.col_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(c_of, minlength=n), out=self.col_ptr[1:])
+        self.amax = max(1.0, np.abs(vals).max(initial=0.0))
+        self.n, self.binv, self.norms = n, np.eye(m), np.ones(m)
+        self.costs = np.concatenate([d, np.zeros(m)])
+        self.e = 0  # log2 det(B): every tableau value is a multiple of 2**-e
 
-    stall = 0
-    last_obj = obj
-    bland = False
-    for _ in range(_pivot_budget(m, n)):
-        if bland:
-            negs = (d < -_TOL).nonzero()[0]
-            if negs.size == 0:
-                break
-            j = int(negs[0])
-        else:
-            j = int(d.argmin())
-            if d[j] >= -_TOL:
-                break
-        if j < n:
-            lo, hi = col_ptr[j], col_ptr[j + 1]
-            col = binv[:, col_rows[lo:hi]] @ col_vals[lo:hi]
-        else:
-            col = binv[:, j - n].copy()
-        pos = (col > _TOL).nonzero()[0]
-        if pos.size == 0:
-            raise Infeasible("phase-1 column with no positive entries")
-        ratios = xb[pos] / col[pos]
-        cand = pos[ratios <= ratios.min() + _TOL]
-        r = int(cand[basis[cand].argmin()])
+    def column(self, j: int) -> np.ndarray:
+        if j < self.n:
+            lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
+            return self.binv[:, self.col_rows[lo:hi]] @ self.col_vals[lo:hi]
+        return self.binv[:, j - self.n].copy()
+
+    def pivot(self, r: int, j: int, col: np.ndarray) -> bool:
+        """Pivot on ``col[r]``, or return False, changing nothing, when the
+        dense update could round."""
+        binv, xb, d, n, amax = self.binv, self.rhs, self.costs, self.n, self.amax
         p, dj = col[r], d[j]
         frac, exp = np.frexp(p)
-        if frac != 0.5:
-            return None
-        e_new = e + int(exp) - 1
+        e = self.e + int(exp) - 1
         rho, xr = binv[r] / p, xb[r] / p  # row r after the pivot
         rho1 = np.abs(rho).sum()
-        mu_max = max(np.abs(col).max(), -dj)
-        if mu_max * max(rho1 * amax, abs(xr)) * 2.0 ** (e + e_new) >= _EXACT:
-            return None
+        # Every value now (the duals are 1 - d[n:]), and every product
+        # mu * (new row r) of the update.
+        top = max(max(self.norms.max(), np.abs(1.0 - d[n:]).sum()) * amax,
+                  np.abs(xb).max(), np.abs(d[n:]).max(), abs(self.obj))
+        prod = max(np.abs(col).max(), -dj) * max(rho1 * amax, abs(xr))
+        if frac != 0.5 or max(top + prod, prod * 2.0**self.e) * 2.0**e >= _EXACT:
+            return False
         # Row r of the tableau's A-part, rho @ A, from the rows of A in
         # rho's support.
-        sup = rho.nonzero()[0]
+        sup, row_ptr = rho.nonzero()[0], self.row_ptr
         lens = row_ptr[sup + 1] - row_ptr[sup]
         at = np.arange(lens.sum()) + np.repeat(row_ptr[sup] - (np.cumsum(lens) - lens), lens)
-        cols, w = c_of[at], vals[at] * np.repeat(rho[sup], lens)
+        cols, w = self.c_of[at], self.vals[at] * np.repeat(rho[sup], lens)
 
         nz = (np.abs(col) > 1e-12).nonzero()[0]
         binv[nz] -= np.multiply.outer(col[nz], rho)
         binv[r] = rho
-        norms[nz] = np.abs(binv[nz]).sum(axis=1)
+        self.norms[nz] = np.abs(binv[nz]).sum(axis=1)
         xb[nz] -= col[nz] * xr
         xb[r] = xr
         if len(sup) == 1:  # one row of A: its columns are distinct
@@ -366,17 +312,63 @@ def _exact_phase1(coo, b: np.ndarray, m: int, n: int):
         else:
             d[:n] -= dj * np.bincount(cols, weights=w, minlength=n)
         d[n:] -= dj * rho
-        obj -= dj * xr
-        basis[r] = j
-        e = e_new
-        # Bound every value of the dense tableau: a row's A-part by its
-        # B⁻¹ row's 1-norm times amax, the objective row's A-part by the
-        # duals' 1-norm (the duals are 1 - d[n:]) times amax.
-        top = max(max(norms.max(), np.abs(1.0 - d[n:]).sum()) * amax,
-                  np.abs(xb).max(), np.abs(d[n:]).max(), abs(obj))
-        if top * 2.0**e >= _EXACT:
+        self.obj -= dj * xr
+        self.e = e
+        return True
+
+
+def phase1_state(system: LinearSystem, *, coo=None) -> _Dense | _Exact:
+    """Phase 1's start: :class:`_Exact` when the tableau would have at
+    least :data:`REVISED_MIN_CELLS` cells and ``A`` and ``b`` are integral,
+    with every column's sum of magnitudes below ``2**53``; :class:`_Dense`
+    otherwise. ``coo`` is ``system._coo()``, for a caller that has it."""
+    m, n = len(system.rows), system.n_vars
+    coo = system._coo() if coo is None else coo
+    _, idx, coef = coo
+    b = system._rhs()
+    if ((m + 1) * (n + m + 1) >= REVISED_MIN_CELLS
+            and np.array_equal(coef, np.rint(coef)) and np.array_equal(b, np.rint(b))
+            and np.bincount(idx, weights=np.abs(coef), minlength=n).max(initial=0.0) < _EXACT):
+        return _Exact(coo, b, m, n)
+    return _Dense(phase1_tableau(system, coo=coo))
+
+
+def _phase1(state: _Dense | _Exact, m: int, n: int):
+    """Phase 1 on ``state`` from the artificial basis: ``(basis, basic
+    values, -objective, budget spent)``, or None when ``state`` refuses a
+    pivot."""
+    basis = np.arange(n, n + m)
+    costs, rhs = state.costs, state.rhs
+    stall = 0
+    last_obj = state.obj
+    bland = False
+    for _ in range(_pivot_budget(m, n)):
+        if bland:
+            negs = (costs < -_TOL).nonzero()[0]
+            if negs.size == 0:
+                break
+            j = int(negs[0])
+        else:
+            j = int(costs.argmin())
+            if costs[j] >= -_TOL:
+                break
+        col = state.column(j)
+        pos = (col > _TOL).nonzero()[0]
+        if pos.size == 0:
+            # Unbounded phase-1 is impossible; numerical guard.
+            raise Infeasible("phase-1 column with no positive entries")
+        ratios = rhs[pos] / col[pos]
+        cand = pos[ratios <= ratios.min() + _TOL]
+        # Bland tie-break on leaving variable index for anti-cycling.
+        r = int(cand[basis[cand].argmin()])
+        if not state.pivot(r, j, col):
             return None
+        basis[r] = j
         if not bland:
+            # Progress in phase-1 raises the objective entry (= -objective)
+            # toward 0; a run of degenerate pivots with no movement
+            # triggers Bland.
+            obj = state.obj
             if abs(obj - last_obj) < 1e-12:
                 stall += 1
                 if stall >= _STALL_LIMIT:
@@ -385,8 +377,8 @@ def _exact_phase1(coo, b: np.ndarray, m: int, n: int):
                 stall = 0
             last_obj = obj
     else:
-        return basis, xb, obj, True
-    return basis, xb, obj, False
+        return basis, rhs, state.obj, True
+    return basis, rhs, state.obj, False
 
 
 def solve_feasible(system: LinearSystem) -> np.ndarray:
@@ -401,13 +393,10 @@ def solve_feasible(system: LinearSystem) -> np.ndarray:
     m, n = len(system.rows), system.n_vars
     if m == 0:
         return np.zeros(n)
-    coo, b = system._coo(), system._rhs()
-    scale = np.abs(b)
-    end = None
-    if (m + 1) * (n + m + 1) >= REVISED_MIN_CELLS:
-        end = _exact_phase1(coo, b, m, n)
-    if end is None:
-        end = _dense_phase1(phase1_tableau(system, coo=coo), m, n)
+    coo, scale = system._coo(), np.abs(system._rhs())
+    end = _phase1(phase1_state(system, coo=coo), m, n)
+    if end is None:  # a refused pivot: restart on the dense state
+        end = _phase1(_Dense(phase1_tableau(system, coo=coo)), m, n)
     basis, rhs, neg_obj, exhausted = end
     obj = -neg_obj
     if obj > 1e-6 * max(1.0, scale.sum()):

@@ -15,9 +15,9 @@ from repro.core.metrics import (
 from repro.core.preprocess import rewrite_ccs
 from repro.core.schema import Attribute, Relation, Schema
 from repro.core.tuplegen import database_to_pandas
-from repro.core.workload import base_size_ccs, derive_ccs_pandas
+from repro.core.workload import base_size_ccs, client_ccs, derive_ccs_pandas
 
-from .toy import toy_client_data, toy_queries, toy_schema
+from .toy import key_only_scenario, toy_client_data, toy_queries, toy_schema
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +206,13 @@ def test_extract_relations_matches_loop(covered):
             pd.testing.assert_frame_equal(got[rel], want[rel])
     assert saw_duplicates
     assert saw_extras != covered
+
+
+def test_view_without_attributes_keeps_its_rows():
+    """DataSynth samples |R| rows for a view with no attributes, and every
+    FK into it lands on one of them."""
+    schema, db, queries = key_only_scenario()
+    result = regenerate_datasynth(schema, client_ccs(schema, db, queries), seed=1)
+    assert len(result.relations["u"]) == 7
+    assert result.extra_tuples["u"] == 0
+    assert result.relations["r"]["r_u"].between(1, 7).all()

@@ -321,32 +321,54 @@ def _outcome(solve, system: LinearSystem, **kw):
         return f"Infeasible: {exc}"
 
 
-_EXACT_PHASE1 = solver._exact_phase1
+_PHASE1_STATE, _PHASE1 = solver.phase1_state, solver._phase1
+
+
+def _wide(m: int, n: int) -> bool:
+    return (m + 1) * (n + m + 1) >= solver.REVISED_MIN_CELLS
 
 
 def _exact_path_spy(mp: pytest.MonkeyPatch) -> list[bool]:
-    """Record, per solve, whether the exact revised path finished (True)
-    or handed over to the dense loop (False)."""
+    """Record, per solve of an LP at least ``REVISED_MIN_CELLS`` wide,
+    whether phase 1 finished on the exact state (True) or ran the dense
+    loop (False): a dense start, or a refused pivot."""
     finished: list[bool] = []
 
-    def spy(*args):
-        end = _EXACT_PHASE1(*args)
-        finished.append(end is not None)
+    def start(system, *, coo=None):
+        state = _PHASE1_STATE(system, coo=coo)
+        if _wide(len(system.rows), system.n_vars):
+            finished.append(isinstance(state, solver._Exact))
+        return state
+
+    def phase1(state, m, n):
+        end = _PHASE1(state, m, n)
+        if end is None:
+            finished[-1] = False
         return end
 
-    mp.setattr(solver, "_exact_phase1", spy)
+    mp.setattr(solver, "phase1_state", start)
+    mp.setattr(solver, "_phase1", phase1)
     return finished
 
 
+def _exact_state(system: LinearSystem):
+    """The state phase 1 starts from with every LP counted as wide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "REVISED_MIN_CELLS", 0)
+        return _PHASE1_STATE(system)
+
+
 def _exact_ends_as_dense(system: LinearSystem) -> bool:
-    """Whether the exact revised path finishes on ``system``; when it does,
-    assert that it ends in the dense loop's state: the same basis, the same
-    bits of the basic values and the objective, the same budget flag."""
+    """Whether phase 1 finishes on the exact state of ``system``; when it
+    does, assert that it ends in the dense state's values: the same basis,
+    the same bits of the basic values and the objective, the same budget
+    flag."""
     m, n = len(system.rows), system.n_vars
-    exact = _EXACT_PHASE1(system._coo(), system._rhs(), m, n)
+    state = _exact_state(system)
+    exact = _PHASE1(state, m, n) if isinstance(state, solver._Exact) else None
     if exact is None:
         return False
-    dense = solver._dense_phase1(phase1_tableau(system), m, n)
+    dense = _PHASE1(solver._Dense(phase1_tableau(system)), m, n)
     assert exact[0].tolist() == dense[0].tolist()
     assert exact[1].view(np.int64).tolist() == dense[1].view(np.int64).tolist()
     assert exact[2:] == dense[2:]
@@ -465,17 +487,20 @@ class TestBitwiseAgainstReference:
         _assert_same_bits(s)
 
 
+_HAND_OVER = [
+    ([(0, 1.0), (1, 1.0)], 2.0**53),  # a start value reaches 2**53
+    ([(0, 0.5), (1, 1.0)], 3.0),  # not integral
+    ([(0, 2.0), (1, 1.0)], 2.0**52 + 1),  # the first pivot, 2, takes a product to 2**53
+    ([(0, 1.0), (1, -2.0**52)], 1.0),  # then the duals' 1-norm times max |A|: 2 * 2**52
+]
+
+
 class TestExactPath:
     """The exact revised path takes the dense loop's pivots and returns its
     bits; it hands over on inexact data, and the wide substrate LPs finish
     on it."""
 
-    @pytest.mark.parametrize("first", [
-        ([(0, 1.0), (1, 1.0)], 2.0**53),  # a start value reaches 2**53
-        ([(0, 0.5), (1, 1.0)], 3.0),  # not integral
-        ([(0, 2.0), (1, 1.0)], 2.0**52 + 1),  # the first pivot, 2, takes a product to 2**53
-        ([(0, 1.0), (1, -2.0**52)], 1.0),  # then the duals' 1-norm times max |A|: 2 * 2**52
-    ])
+    @pytest.mark.parametrize("first", _HAND_OVER)
     def test_hands_over_to_the_dense_loop(self, monkeypatch, first):
         s = LinearSystem(4)
         s.add(*first)
@@ -486,6 +511,33 @@ class TestExactPath:
         finished = _exact_path_spy(monkeypatch)
         assert _outcome(solve_feasible, s) == want
         assert finished == [False]
+
+    @pytest.mark.parametrize("first", _HAND_OVER)
+    def test_refused_pivot_changes_nothing(self, first):
+        """The exact state's refused pivot leaves its arrays and objective
+        bit-identical; data that is not integral never starts it."""
+        s = LinearSystem(4)
+        s.add(*first)
+        s.add_sum([2], 1)
+        s.add_sum([3], 1)
+        state = _exact_state(s)
+        if first is _HAND_OVER[1]:  # not integral
+            assert isinstance(state, solver._Dense)
+            return
+
+        def snapshot():
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(state).items() if k != "pivot"}
+
+        pivot, before = state.pivot, []
+
+        def spy(r, j, col):
+            before.append(snapshot())
+            return pivot(r, j, col)
+
+        state.pivot = spy
+        assert _PHASE1(state, len(s.rows), s.n_vars) is None
+        assert snapshot() == before[-1]
 
     def test_repeated_index_adds_up(self):
         s = LinearSystem(3)
@@ -531,7 +583,7 @@ class TestExactPath:
         assert solve_feasible(system).view(np.int64).tolist() == want
 
 
-@pytest.mark.parametrize("name", ["wlc-101", "wlc-104", "job-lite-303"])
+@pytest.mark.parametrize("name", ["wlc-101", "wlc-104", "wls-202-sf0.1", "job-lite-303"])
 def test_substrate_lps_match_reference_bitwise(name, monkeypatch):
     """Every view's LP solution equals the plain pivot loop's, bit for bit;
     on wlc-101 the basic solution has 29 fractional variables, 23 in
@@ -556,5 +608,5 @@ def test_substrate_lps_match_reference_bitwise(name, monkeypatch):
         assert exact == {"catalog_sales": True}
     if name == "wlc-104":
         assert exact == {"inventory": True, "store_returns": False}
-    if name == "job-lite-303":
+    if name in ("wls-202-sf0.1", "job-lite-303"):
         assert exact == {}

@@ -16,7 +16,7 @@ from repro.core.tuplegen import database_to_pandas, decode_rows, relation_to_pan
 from repro.core.workload import base_size_ccs, derive_ccs_pandas
 
 from .test_substrates import GOLDEN, TREE_PLANS
-from .toy import toy_client_data, toy_queries, toy_schema
+from .toy import key_only_scenario, toy_client_data, toy_queries, toy_schema
 
 
 class TestInstantiateView:
@@ -287,6 +287,19 @@ class TestToyEndToEnd:
     def test_extras_are_scale_free_magnitude(self, result):
         sch, ccs, res = result
         assert sum(res.summary.extra_tuples.values()) < 100
+
+
+def test_view_without_attributes_keeps_its_rows():
+    """A relation whose view has no attributes gets one empty sub-view that
+    carries |R|: it regenerates with exactly |R| tuples, no extra one."""
+    schema, db, queries = key_only_scenario()
+    ccs = workload.client_ccs(schema, db, queries)
+    assert plan_views(schema, ccs)["u"].subviews == [()]
+    summary = regenerate(schema, ccs).summary
+    assert summary.relations["u"].total_rows == 7
+    assert summary.extra_tuples == {"u": 0, "r": 0}
+    errors = achieved_counts_pandas(schema, database_to_pandas(schema, summary), ccs)
+    assert [e.rel_error for e in errors] == [0.0] * len(ccs)
 
 
 class TestDecodeRows:

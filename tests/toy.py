@@ -71,3 +71,19 @@ def toy_queries() -> list[QuerySpec]:
             filters=(("r", Predicate.of(d=(0, 5))), ("t", Predicate.of(c=(5, 10)))),
         ),
     ]
+
+
+def key_only_scenario() -> tuple[Schema, dict[str, pd.DataFrame], list[QuerySpec]]:
+    """A key-only link target: ``u(u_pk)`` with 7 rows, referenced by
+    ``r(r_pk, a, r_u)``. ``u``'s view has no attributes at all."""
+    schema = Schema([
+        Relation("u", pk="u_pk", attrs=()),
+        Relation("r", pk="r_pk", attrs=(Attribute("a", 0, 10),), fks={"r_u": "u"}),
+    ])
+    g = np.random.default_rng(0)
+    db = {
+        "u": pd.DataFrame({"u_pk": np.arange(1, 8)}),
+        "r": pd.DataFrame({"r_pk": np.arange(1, 21), "a": g.integers(0, 10, 20),
+                           "r_u": g.integers(1, 8, 20)}),
+    }
+    return schema, db, [QuerySpec(tables=("r", "u"), filters=(("r", Predicate.of(a=(2, 6))),))]
