@@ -173,6 +173,12 @@ def _pivot_budget(m: int, n: int) -> int:
     return 50 * (m + n) + 1000
 
 
+def _wide(m: int, n: int) -> bool:
+    """Whether the phase-1 tableau of ``m`` rows and ``n`` variables has at
+    least :data:`REVISED_MIN_CELLS` cells, ``(m+1)·(n+m+1)``."""
+    return (m + 1) * (n + m + 1) >= REVISED_MIN_CELLS
+
+
 def _feasible_start(coo, b: np.ndarray, n: int):
     """The rows with ``b < 0`` negated, so the artificial basis starts
     feasible: ``(coef, b, objective row over A, objective entry)``, the
@@ -326,8 +332,7 @@ def phase1_state(system: LinearSystem, *, coo=None) -> _Dense | _Exact:
     coo = system._coo() if coo is None else coo
     _, idx, coef = coo
     b = system._rhs()
-    if ((m + 1) * (n + m + 1) >= REVISED_MIN_CELLS
-            and np.array_equal(coef, np.rint(coef)) and np.array_equal(b, np.rint(b))
+    if (_wide(m, n) and np.array_equal(coef, np.rint(coef)) and np.array_equal(b, np.rint(b))
             and np.bincount(idx, weights=np.abs(coef), minlength=n).max(initial=0.0) < _EXACT):
         return _Exact(coo, b, m, n)
     return _Dense(phase1_tableau(system, coo=coo))

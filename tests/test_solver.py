@@ -324,19 +324,15 @@ def _outcome(solve, system: LinearSystem, **kw):
 _PHASE1_STATE, _PHASE1 = solver.phase1_state, solver._phase1
 
 
-def _wide(m: int, n: int) -> bool:
-    return (m + 1) * (n + m + 1) >= solver.REVISED_MIN_CELLS
-
-
 def _exact_path_spy(mp: pytest.MonkeyPatch) -> list[bool]:
-    """Record, per solve of an LP at least ``REVISED_MIN_CELLS`` wide,
-    whether phase 1 finished on the exact state (True) or ran the dense
+    """Record, per solve of an LP the solver counts as wide
+    (``solver._wide``), whether phase 1 finished on the exact state (True) or ran the dense
     loop (False): a dense start, or a refused pivot."""
     finished: list[bool] = []
 
     def start(system, *, coo=None):
         state = _PHASE1_STATE(system, coo=coo)
-        if _wide(len(system.rows), system.n_vars):
+        if solver._wide(len(system.rows), system.n_vars):
             finished.append(isinstance(state, solver._Exact))
         return state
 
