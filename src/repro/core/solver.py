@@ -185,8 +185,9 @@ def _feasible_start(coo, b: np.ndarray, n: int):
     objective row minus each column's sum and the entry ``-sum(b)``."""
     row, idx, coef = coo
     neg = b < 0
-    coef = np.where(neg[row], -coef, coef)
-    b = np.where(neg, -b, b)
+    if neg.any():  # else no copy: catalog_sales has 510,291 nonzeros
+        coef = np.where(neg[row], -coef, coef)
+        b = np.where(neg, -b, b)
     return coef, b, -np.bincount(idx, weights=coef, minlength=n), -b.sum()
 
 

@@ -326,8 +326,8 @@ _PHASE1_STATE, _PHASE1 = solver.phase1_state, solver._phase1
 
 def _exact_path_spy(mp: pytest.MonkeyPatch) -> list[bool]:
     """Record, per solve of an LP the solver counts as wide
-    (``solver._wide``), whether phase 1 finished on the exact state (True) or ran the dense
-    loop (False): a dense start, or a refused pivot."""
+    (``solver._wide``), whether phase 1 finished on the exact state (True)
+    or ran the dense loop (False): a dense start, or a refused pivot."""
     finished: list[bool] = []
 
     def start(system, *, coo=None):
